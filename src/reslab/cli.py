@@ -199,6 +199,13 @@ def _cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         cap = min(cap, graphs.ENUM_CAP)
+        if args.enum_n < 1:
+            print(
+                f"error: --enum-n {args.enum_n} is out of range; "
+                f"scan sizes run from 1 to {cap}",
+                file=sys.stderr,
+            )
+            return 2
         if args.enum_n > cap:
             print(
                 f"error: --enum-n {args.enum_n} exceeds cap {cap} "

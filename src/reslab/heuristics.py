@@ -5,6 +5,21 @@ set; its size M depends on how ties among maximum-degree vertices are
 broken, so alongside single runs there is an exhaustive sweep over every
 tie-break (maxine_all) and a guided variant that only deletes vertices
 whose closed neighborhood dominates the remaining degrees (maxine_hh).
+
+The sweep stops recursing once the maximum degree is 2: the surviving
+graph is then a disjoint union of paths and cycles, and its achievable
+sizes are the sumset of its components' sizes.  Restricted to one
+component, a Maxine run is a valid Maxine run on that component; and
+since the degree of the deleted vertex never increases along a run,
+any choice of per-component runs merges into one global run by always
+taking the largest degree next.  Deleting any vertex of the cycle C_k
+(k >= 3) leaves the path P_{k-1}, and deleting the interior vertex i+1
+of P_k leaves P_i + P_{k-1-i}, so with S(P_0) = {0} and
+S(P_1) = S(P_2) = {1}:
+
+    S(C_k) = S(P_{k-1}),  S(P_k) = U_{i=1..k-2} S(P_i) + S(P_{k-1-i}).
+
+These depend on k alone and are kept in a table grown on demand.
 """
 
 from __future__ import annotations
@@ -155,6 +170,54 @@ def maxine_run(g: Graph, policy: str = "low", seed: int = 0) -> MaxineOutcome:
     return MaxineOutcome(tuple(deletions), _mask_to_set(mask))
 
 
+# _PATH_SIZES[k]: achievable survivor counts of the path P_k, as a size bitmask
+_PATH_SIZES = [1 << 0, 1 << 1, 1 << 1]
+
+
+def _sumset(a: int, b: int) -> int:
+    """{x + y : x in a, y in b} for size bitmasks a and b."""
+    out = 0
+    while a:
+        low = a & -a
+        a ^= low
+        out |= b * low
+    return out
+
+
+def _path_sizes(k: int) -> int:
+    table = _PATH_SIZES
+    while len(table) <= k:
+        m = len(table)
+        out = 0
+        for i in range(1, m // 2 + 1):
+            out |= _sumset(table[i], table[m - 1 - i])
+        table.append(out)
+    return table[k]
+
+
+def _paths_and_cycles_sizes(adj, mask: int, deg2: int) -> int:
+    """Achievable counts when `mask` induces maximum degree 2; `deg2`
+    holds its degree-2 vertices."""
+    out = 1
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nbrs = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nbrs |= adj[b.bit_length() - 1]
+            frontier = nbrs & rest & ~comp
+            comp |= frontier
+        rest ^= comp
+        k = comp.bit_count()
+        if comp & deg2 == comp:
+            k -= 1  # a cycle: every deletion leaves P_{k-1}
+        out = _sumset(_path_sizes(k), out)
+    return out
+
+
 def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
     """Achievable survivor counts from `mask`, encoded as a size bitmask."""
     out = memo.get(mask)
@@ -167,6 +230,9 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
         # a matching plus isolated vertices: every order deletes one end
         # of each edge, so the survivor count is forced
         out = 1 << (mask.bit_count() - cands.bit_count() // 2)
+    elif best == 2:
+        # paths and cycles: a sumset of table lookups (module docstring)
+        out = _paths_and_cycles_sizes(adj, mask, cands)
     else:
         out = 0
         c = cands

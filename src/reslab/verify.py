@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -409,22 +410,34 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _read_corpus(path: str) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
-    """(parsed-ok (lineno, record), skipped (lineno, message)) for a file."""
-    records: list[tuple[int, str]] = []
-    skipped: list[tuple[int, str]] = []
+def _read_corpus(path: str) -> list[tuple[int, str]]:
+    """(lineno, record) for every non-blank line of a file, undecoded."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                from_graph6(text)
-            except ValueError as exc:
-                skipped.append((lineno, str(exc)))
-                continue
-            records.append((lineno, text))
-    return records, skipped
+        return [
+            (lineno, text)
+            for lineno, line in enumerate(fh, start=1)
+            if (text := line.strip())
+        ]
+
+
+def _decode(records, skipped: list):
+    """Yield the graph of each record, decoding it once; append
+    (lineno, message) to `skipped` for each malformed one."""
+    for lineno, text in records:
+        try:
+            g = from_graph6(text)
+        except ValueError as exc:
+            skipped.append((lineno, str(exc)))
+            continue
+        yield g
+
+
+def _warn_skipped(path: str, skipped) -> None:
+    for lineno, message in skipped:
+        print(
+            f"warning: {path}:{lineno}: skipping record: {message}",
+            file=sys.stderr,
+        )
 
 
 def _scan_chunk(payload):
@@ -432,12 +445,13 @@ def _scan_chunk(payload):
     checks = [CheckId(c) for c in check_values]
     applicable = {c: 0 for c in checks}
     fails: dict[CheckId, list[str]] = {c: [] for c in checks}
+    skipped: list[tuple[int, str]] = []
     scanned = 0
     if kind == "enum":
         n, lo, hi = data
         graphs = _enum_range(n, lo, hi)
     else:
-        graphs = (from_graph6(text) for _, text in data)
+        graphs = _decode(data, skipped)
     for g in graphs:
         scanned += 1
         facts = GraphFacts(g)
@@ -448,13 +462,12 @@ def _scan_chunk(payload):
             applicable[c] += 1
             if verdict is Verdict.FAIL:
                 fails[c].append(to_graph6(g))
-    return scanned, applicable, fails
+    return scanned, applicable, fails, skipped
 
 
 def _chunk_payloads(source, checks, shards: int):
     values = [c.value for c in checks]
     payloads = []
-    skipped = 0
     if isinstance(source, EnumerationSource):
         total = 1 << len(pair_order(source.n))
         shards = max(1, min(shards, total))
@@ -462,13 +475,8 @@ def _chunk_payloads(source, checks, shards: int):
         for lo in range(0, total, step):
             payloads.append(("enum", (source.n, lo, min(lo + step, total)), values))
     elif isinstance(source, CorpusSource):
-        records, bad = _read_corpus(source.path)
-        skipped = len(bad)
-        for lineno, message in bad:
-            print(
-                f"warning: {source.path}:{lineno}: skipping record: {message}",
-                file=sys.stderr,
-            )
+        # records are validated where they are decoded, in _scan_chunk
+        records = _read_corpus(source.path)
         if not records:
             payloads.append(("corpus", [], values))
         else:
@@ -478,7 +486,7 @@ def _chunk_payloads(source, checks, shards: int):
                 payloads.append(("corpus", records[lo : lo + step], values))
     else:
         raise TypeError(f"unknown source {source!r}")
-    return payloads, skipped
+    return payloads
 
 
 def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
@@ -490,20 +498,23 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
     whatever the shard count.
     """
     check_list = [CheckId(c) for c in checks]
+    workers = os.cpu_count() or 1
     if shards is None:
-        import os
-
-        shards = os.cpu_count() or 1
+        shards = workers
     if shards < 1:
         raise ValueError("shards must be >= 1")
     t0 = time.perf_counter()
-    payloads, skipped = _chunk_payloads(source, check_list, shards)
+    payloads = _chunk_payloads(source, check_list, shards)
     if len(payloads) == 1:
         partials = [_scan_chunk(payloads[0])]
     else:
-        with Pool(processes=len(payloads)) as pool:
+        # shards are chunks of work; never more processes than cores
+        with Pool(processes=min(len(payloads), workers)) as pool:
             partials = pool.map(_scan_chunk, payloads)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+    bad = [entry for p in partials for entry in p[3]]
+    if bad:
+        _warn_skipped(source.path, bad)
     reports = []
     for c in check_list:
         scanned = sum(p[0] for p in partials)
@@ -518,7 +529,7 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
                 scanned=scanned,
                 applicable=applicable,
                 counterexamples=tuple(sorted(fails)),
-                skipped_records=skipped,
+                skipped_records=len(bad),
                 elapsed_ms=elapsed_ms,
             )
         )
@@ -534,13 +545,9 @@ def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:
     if isinstance(source, EnumerationSource):
         graphs = _enum_range(source.n, 0, 1 << len(pair_order(source.n)))
     elif isinstance(source, CorpusSource):
-        records, bad = _read_corpus(source.path)
-        for lineno, message in bad:
-            print(
-                f"warning: {source.path}:{lineno}: skipping record: {message}",
-                file=sys.stderr,
-            )
-        graphs = (from_graph6(text) for _, text in records)
+        bad: list[tuple[int, str]] = []
+        graphs = list(_decode(_read_corpus(source.path), bad))
+        _warn_skipped(source.path, bad)
     else:
         raise TypeError(f"unknown source {source!r}")
     for g in graphs:

@@ -74,6 +74,32 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def brute_maxine_sizes(g: Graph) -> frozenset[int]:
+    """Survivor counts over every order of maximum-degree deletions.
+
+    The plain recurrence on surviving vertex sets, memoised on those sets
+    only; no degree-1 or degree-2 shortcut.
+    """
+    memo: dict[frozenset[int], frozenset[int]] = {}
+
+    def rec(alive: frozenset[int]) -> frozenset[int]:
+        if alive in memo:
+            return memo[alive]
+        degree = {v: sum(g.has_edge(v, u) for u in alive) for v in alive}
+        top = max(degree.values(), default=0)
+        if top == 0:
+            out = frozenset([len(alive)])
+        else:
+            out = frozenset()
+            for v in alive:
+                if degree[v] == top:
+                    out |= rec(alive - {v})
+        memo[alive] = out
+        return out
+
+    return rec(frozenset(range(g.n)))
+
+
 def brute_graphic_sequences(n: int) -> set[tuple[int, ...]]:
     """Degree sequences realized by some labeled graph on n vertices."""
     from reslab.graphs import degree_sequence, enumerate_labeled

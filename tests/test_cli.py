@@ -327,6 +327,15 @@ class TestVerifyCommand:
         )
         assert code == 2 and "must be an integer" in err
 
+    def test_enum_n_below_range(self, capsys, monkeypatch):
+        monkeypatch.delenv("RESLAB_MAX_N", raising=False)
+        for n in ("-1", "0"):
+            code, out, err = run(
+                ["verify", "--check", "thm2_sandwich", "--enum-n", n], capsys=capsys
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: --enum-n {n} is out of range; scan sizes run from 1 to 7\n"
+
     def test_hard_cap_never_exceeded(self, capsys, monkeypatch):
         monkeypatch.setenv("RESLAB_MAX_N", "99")
         code, _, err = run(

@@ -1,10 +1,13 @@
 """Maxine runs, exhaustive tie-break sweeps, and degree-dominating deletions."""
 
+import os
+import random
+
 import pytest
 
 import oracles
 from reslab.degseq import residue
-from reslab.graphs import Graph, enumerate_labeled
+from reslab.graphs import Graph, enumerate_labeled, from_graph6
 from reslab.heuristics import (
     NoHHVertexError,
     hh_property_vertices,
@@ -15,6 +18,9 @@ from reslab.heuristics import (
     maxine_run,
 )
 from reslab.independence import alpha
+from reslab.patterns import cycle, path
+
+CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -130,6 +136,62 @@ class TestMaxineAll:
     def test_cap(self):
         with pytest.raises(ValueError):
             maxine_all(Graph(33))
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((a + offset, b + offset) for a, b in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
+
+
+class TestMaxineAllOracle:
+    """The degree-1 and degree-2 base cases against the plain recurrence."""
+
+    def test_every_labeled_graph_to_n6(self):
+        for n in range(7):
+            for g in enumerate_labeled(n):
+                assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g), g
+
+    def test_corpus8(self):
+        with open(CORPUS8, encoding="ascii") as fh:
+            for line in fh:
+                if line.strip():
+                    g = from_graph6(line.strip())
+                    assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g), line
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (cycle(3), path(4)),
+            (cycle(5), cycle(6)),
+            (path(2), path(7), cycle(4)),
+            (path(1), path(1), cycle(3), path(3)),
+            (cycle(4), cycle(4), cycle(4), cycle(4)),
+            (path(3), cycle(5), path(8)),
+            (cycle(7), path(9)),
+            (path(16),),
+            (cycle(16),),
+        ],
+        ids=lambda parts: "+".join(
+            f"{'C' if g.edge_count == g.n > 2 else 'P'}{g.n}" for g in parts
+        ),
+    )
+    def test_relabeled_paths_and_cycles(self, parts):
+        g = disjoint_union(*parts)
+        perm = list(range(g.n))
+        random.Random(g.n * 31 + len(parts)).shuffle(perm)
+        g = oracles.relabel(g, perm)
+        assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
+
+    @pytest.mark.parametrize("k", range(12, 21))
+    def test_cycles(self, k):
+        assert maxine_all(cycle(k)).achievable_sizes == oracles.brute_maxine_sizes(cycle(k))
+
+    def test_cycle_32_returns(self):
+        # the recurrence was exponential in k on cycles; no timing asserted
+        assert maxine_all(cycle(32)).achievable_sizes == set(range(11, 17))
 
 
 class TestMaxineHH:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from reslab import verify
 from reslab.graphs import Graph, from_graph6, to_graph6
 from reslab.patterns import cycle, empty, gen_f_member, path
 from reslab.verify import (
@@ -163,6 +164,41 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(EnumerationSource(3), [CheckId.THM2_SANDWICH], shards=0)
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                opened.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                opened.append(len(payloads))
+                return [fn(p) for p in payloads]
+
+        monkeypatch.setattr(verify, "Pool", RecordingPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        checks = [CheckId.THM2_SANDWICH, CheckId.F_MEMBERS_ARE_MDI]
+        got = run_suite(EnumerationSource(5), checks, shards=5000)
+        assert opened == [3, 1024]  # 3 processes, one chunk per graph
+        base = run_suite(EnumerationSource(5), checks, shards=1)
+        for a, b in zip(base, got):
+            da, db = a.to_dict(), b.to_dict()
+            da.pop("elapsed_ms"), db.pop("elapsed_ms")
+            assert da == db
+        opened.clear()
+        run_suite(EnumerationSource(5), checks, shards=2)
+        assert opened == [2, 2]
+        opened.clear()
+        run_suite(EnumerationSource(5), checks)  # default: one shard per core
+        assert opened == [3, 3]
+
     def test_unknown_source(self):
         with pytest.raises(TypeError):
             run_suite(object(), [CheckId.THM2_SANDWICH], shards=1)
@@ -186,6 +222,22 @@ class TestCorpusSource:
         err = capsys.readouterr().err
         assert ":3: skipping record" in err
         assert ":6: skipping record" in err
+
+    def test_skips_identical_across_shards(self, tmp_path, capsys):
+        lines = ["Bw", "bad!", "Cl", "", "D", "DQo", "C~", "Cx", "E", "Dh?"]
+        p = self.make_corpus(tmp_path, lines)
+        checks = [CheckId.THM1_RESIDUE_LE_ALPHA, CheckId.F_MEMBERS_ARE_MDI]
+        outputs = []
+        for shards in (1, 2, 3, 9):
+            reports = run_suite(CorpusSource(p), checks, shards=shards)
+            dicts = [r.to_dict() for r in reports]
+            for d in dicts:
+                d.pop("elapsed_ms")
+            outputs.append((dicts, capsys.readouterr().err))
+        dicts, err = outputs[0]
+        assert dicts[0]["scanned"] == 6 and dicts[0]["skipped_records"] == 3
+        assert [line.split(":")[2] for line in err.splitlines()] == ["2", "5", "9"]
+        assert all(out == outputs[0] for out in outputs)
 
     def test_counterexamples_echo_input_graphs(self, tmp_path):
         a3 = gen_f_member("A", 3)
