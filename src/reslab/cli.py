@@ -21,18 +21,18 @@ ENV_MAX_N = "RESLAB_MAX_N"
 
 def _read_graph_arg(text: str) -> graphs.Graph:
     if text == "-":
-        data = sys.stdin.read()
-        for line in data.splitlines():
-            if line.strip():
-                return graphs.from_graph6(line.strip())
-        raise graphs.Graph6Error("empty record", 0)
+        return _first_record(sys.stdin)
     if text.startswith("@"):
         with open(text[1:], "r", encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    return graphs.from_graph6(line.strip())
-        raise graphs.Graph6Error("empty record", 0)
+            return _first_record(fh)
     return graphs.from_graph6(text)
+
+
+def _first_record(lines) -> graphs.Graph:
+    for line in lines:
+        if line.strip():
+            return graphs.from_graph6(line.strip())
+    raise graphs.Graph6Error("empty record", 0)
 
 
 def _fmt_set(vertices) -> str:
@@ -122,7 +122,12 @@ def _parse_pattern_tokens(tokens: str, host_n: int):
         elif token == "f" or token.startswith("f:"):
             cap = host_n
             if token.startswith("f:"):
-                cap = int(token[2:])
+                try:
+                    cap = int(token[2:])
+                except ValueError:
+                    raise ValueError(
+                        f"bad pattern token {token!r}: expected f:MAXN, MAXN an integer"
+                    ) from None
             if cap >= 6:
                 for m in patterns.f_catalog(min(cap, max(host_n, 6))):
                     if m.graph.n <= host_n:

@@ -71,14 +71,18 @@ def alpha(g: Graph) -> int:
     return _alpha_mask(g.adj, (1 << g.n) - 1)
 
 
-def _all_mis_masks(adj, n: int, target: int) -> list[int]:
-    """All independent sets of exactly `target` vertices, as bitmasks.
+def _all_mis_masks(g: Graph, cap: int = ALL_MIS_CAP) -> tuple[int, list[int]]:
+    """alpha and every maximum independent set, as bitmasks.
 
     Generated in ascending lexicographic order of the member lists.
     """
+    if g.n > cap:
+        raise ValueError(f"all_mis limited to n <= {cap}, got {g.n}")
+    adj = g.adj
+    target = alpha(g)
     results: list[int] = []
     if target == 0:
-        return [0]
+        return target, [0]
 
     def rec(chosen: int, count: int, cands: int):
         c = cands
@@ -93,8 +97,8 @@ def _all_mis_masks(adj, n: int, target: int) -> list[int]:
             else:
                 rec(chosen | b, count + 1, c & ~adj[v])
 
-    rec(0, 0, (1 << n) - 1)
-    return results
+    rec(0, 0, (1 << g.n) - 1)
+    return target, results
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,7 @@ class MISReport:
 
 def all_mis(g: Graph, cap: int = ALL_MIS_CAP) -> MISReport:
     """Enumerate every maximum independent set."""
-    if g.n > cap:
-        raise ValueError(f"all_mis limited to n <= {cap}, got {g.n}")
-    a = alpha(g)
-    masks = _all_mis_masks(g.adj, g.n, a)
+    a, masks = _all_mis_masks(g, cap)
     sets = tuple(_mask_to_set(m) for m in masks)
     return MISReport(a, tuple(sorted(sets, key=sorted)))
 
@@ -153,13 +154,6 @@ def _unique_mis_keep(g: Graph, v: int) -> frozenset[int]:
     return frozenset(range(g.n)) - drop
 
 
-def _set_to_mask(s) -> int:
-    out = 0
-    for v in s:
-        out |= 1 << v
-    return out
-
-
 def reduce_to_unique_mis(g: Graph, v: int) -> Graph:
     """Delete every vertex that sits in some other maximum independent set.
 
@@ -171,17 +165,27 @@ def reduce_to_unique_mis(g: Graph, v: int) -> Graph:
     return induced(g, _unique_mis_keep(g, v))
 
 
-def _prune_keep(g: Graph, v: int) -> frozenset[int]:
-    report = all_mis(g)
-    if len(report.sets) != 1:
+def _unique_mis_mask(g: Graph, v: int) -> int:
+    """The one maximum independent set of g, as a bitmask.
+
+    Raises ValueError unless g has exactly one maximum independent set and
+    it holds v, a vertex of maximum degree.
+    """
+    _, masks = _all_mis_masks(g)
+    if len(masks) != 1:
         raise ValueError("graph does not have a unique maximum independent set")
-    iset = report.sets[0]
-    if v not in iset or g.degree(v) != max(g.degree(u) for u in range(g.n)):
+    iset = masks[0]
+    if not iset >> v & 1 or g.degree(v) != max(g.degree(u) for u in range(g.n)):
         raise ValueError(
             f"vertex {v} is not a max-degree vertex lying in every maximum independent set"
         )
-    iprime_mask = _set_to_mask(iset) & ~(1 << v)
-    keep = g.adj[v] | _set_to_mask(iset)
+    return iset
+
+
+def _prune_keep(g: Graph, v: int) -> frozenset[int]:
+    iset = _unique_mis_mask(g, v)
+    iprime_mask = iset & ~(1 << v)
+    keep = g.adj[v] | iset
     # drop neighbors with no neighbor inside the independent set minus v,
     # repeatedly (each would re-seat the set elsewhere, so they are dead)
     changed = True
@@ -268,20 +272,14 @@ def partition_neighborhood(g: Graph, v: int) -> NeighborhoodPartition:
     set containing max-degree v, every vertex in N(v) union the set, and
     every neighbor touching the set somewhere besides v.
     """
-    report = all_mis(g)
-    if len(report.sets) != 1:
-        raise ValueError("graph does not have a unique maximum independent set")
-    iset = report.sets[0]
-    if v not in iset or g.degree(v) != max(g.degree(u) for u in range(g.n)):
-        raise ValueError(
-            f"vertex {v} is not a max-degree vertex lying in every maximum independent set"
-        )
+    iset_mask = _unique_mis_mask(g, v)
     nbrs = g.adj[v]
-    outside = ((1 << g.n) - 1) & ~nbrs & ~_set_to_mask(iset)
+    outside = ((1 << g.n) - 1) & ~nbrs & ~iset_mask
     if outside:
         raise ValueError("graph has vertices outside N(v) and the independent set")
+    iprime_mask = iset_mask & ~(1 << v)
+    iset = _mask_to_set(iset_mask)
     iprime = iset - {v}
-    iprime_mask = _set_to_mask(iprime)
     k = len(iset)
     buckets: list[list[int]] = [[] for _ in range(max(k - 1, 0))]
     m = nbrs

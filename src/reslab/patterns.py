@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .graphs import Graph, from_graph6, to_graph6
-from .independence import mdi_vertices
+from .independence import _mdi_mask, alpha, mdi_vertices
 
 ROLE_V = "v"
 ROLE_U = "u"
@@ -360,13 +360,20 @@ def has_induced(host: Graph, pattern: Graph) -> bool:
 def has_p5_star(g: Graph) -> bool:
     """Induced 5-path whose middle vertex is max-degree and lies in every
     maximum independent set of g."""
-    if g.n < 5:
-        return False
-    centers = mdi_vertices(g)
-    if not centers:
-        return False
-    p5 = path(5)
-    return any(find_induced(g, p5, anchor={2: c}) is not None for c in centers)
+    return _has_p5_star(g, _mdi_mask(g.adj, g.n, alpha(g)))
+
+
+_P5 = path(5)
+
+
+def _has_p5_star(g: Graph, mdi: int) -> bool:
+    """has_p5_star with the MDI vertices of g given as a bitmask."""
+    while mdi:
+        b = mdi & -mdi
+        mdi ^= b
+        if find_induced(g, _P5, anchor={2: b.bit_length() - 1}) is not None:
+            return True
+    return False
 
 
 def is_family_free(g: Graph, patterns: Iterable[Graph]) -> bool:

@@ -29,21 +29,22 @@ from .graphs import (
     to_graph6,
 )
 from .heuristics import (
+    MAXINE_ALL_CAP,
     NoHHVertexError,
     _hh_vertices_mask,
     _maxine_sizes_mask,
     maxine_hh,
 )
 from .independence import (
+    ALL_MIS_CAP,
     _alpha_mask,
     _mdi_mask,
-    _prune_keep,
-    _unique_mis_keep,
+    _unique_mis_mask,
     all_mis,
     partition_neighborhood,
     reduction_pipeline,
 )
-from .patterns import cycle, f_catalog, find_induced, path
+from .patterns import _P5, _has_p5_star, cycle, f_catalog, find_induced
 
 
 class CheckId(str, enum.Enum):
@@ -83,7 +84,6 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-_P5 = path(5)
 _C4 = cycle(4)
 
 
@@ -165,15 +165,7 @@ class GraphFacts:
 
     @_lazy
     def p5_star(self) -> bool:
-        if self.graph.n < 5 or not self.mdi_mask:
-            return False
-        m = self.mdi_mask
-        while m:
-            b = m & -m
-            m ^= b
-            if find_induced(self.graph, _P5, anchor={2: b.bit_length() - 1}):
-                return True
-        return False
+        return _has_p5_star(self.graph, self.mdi_mask)
 
     def has_pattern(self, pattern: Graph) -> bool:
         hit = self._patterns.get(pattern)
@@ -248,30 +240,15 @@ def _ck_corollary(f: GraphFacts) -> Verdict:
 def _ck_lemma_reductions(f: GraphFacts) -> Verdict:
     if f.graph.n == 0 or not f.mdi_mask:
         return Verdict.NOT_APPLICABLE
-    from .graphs import induced
-
     for v in _bits(f.mdi_mask):
-        keep1 = sorted(_unique_mis_keep(f.graph, v))
-        g1 = induced(f.graph, keep1)
-        v1 = keep1.index(v)
-        rep1 = all_mis(g1)
-        if len(rep1.sets) != 1:
-            return Verdict.FAIL
-        if not _mdi_of(g1) >> v1 & 1:
-            return Verdict.FAIL
-        keep2 = sorted(_prune_keep(g1, v1))
-        g2 = induced(g1, keep2)
-        v2 = keep2.index(v1)
-        rep2 = all_mis(g2)
-        if len(rep2.sets) != 1:
-            return Verdict.FAIL
-        if not _mdi_of(g2) >> v2 & 1:
+        # with a unique MIS, lying in every MIS means lying in that one
+        try:
+            _unique_mis_mask(*f.pipeline(v))
+        except ValueError:
+            if f.graph.n > ALL_MIS_CAP:
+                raise  # too large to reduce, not a counterexample
             return Verdict.FAIL
     return Verdict.PASS
-
-
-def _mdi_of(g: Graph) -> int:
-    return _mdi_mask(g.adj, g.n, _alpha_mask(g.adj, (1 << g.n) - 1))
 
 
 def _ck_alpha_le2(f: GraphFacts) -> Verdict:
@@ -422,12 +399,16 @@ def _read_corpus(path: str) -> list[tuple[int, str]]:
 
 def _decode(records, skipped: list):
     """Yield the graph of each record, decoding it once; append
-    (lineno, message) to `skipped` for each malformed one."""
+    (lineno, message) to `skipped` for each malformed one and for each
+    with more vertices than the exact searches are capped at."""
     for lineno, text in records:
         try:
             g = from_graph6(text)
         except ValueError as exc:
             skipped.append((lineno, str(exc)))
+            continue
+        if g.n > MAXINE_ALL_CAP:
+            skipped.append((lineno, f"{g.n} vertices, limit {MAXINE_ALL_CAP}"))
             continue
         yield g
 

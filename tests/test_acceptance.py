@@ -1,5 +1,6 @@
 """Acceptance gate: ten numbered criteria, one test (and one pass/fail
-line in `pytest -v`) per criterion.
+line in `pytest -v`) per criterion, plus pinned applicable counts for the
+bundled checks no criterion reads.
 
 Everything asserts exact counts; the only tolerance anywhere is the
 wall-clock bound in criterion 1, pinned at 600 s for a single-shard scan.
@@ -171,6 +172,27 @@ def test_criterion_06_hh_property_claims():
                 bad.append(str(seq))
     announce(6, not bad, f"guided-deletion claims ({len(bad)} violations)")
     assert bad == []
+
+
+# applicable counts per n = 1..7, measured on the bundled scan
+SIDE_CHECK_APPLICABLE = {
+    CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI: (1, 1, 1, 1, 61, 1261, 68566),
+    CheckId.Q_CLIQUES: (0, 0, 1, 0, 0, 540, 9975),
+    CheckId.ALPHA_LE_2_EDGELESS: (1, 1, 0, 0, 0, 0, 0),
+}
+
+
+def test_bundle_side_checks_pinned():
+    # the bundle's other checks: no counterexample, and exactly as many
+    # applicable graphs as measured, so a check cannot go quietly vacuous
+    for n in range(1, 8):
+        reports = bundle_reports(n)
+        rep = reports[CheckId.REALIZATION_HAS_HH_VERTEX]
+        assert rep.counterexamples == ()
+        assert rep.applicable == rep.scanned == 1 << (n * (n - 1) // 2)
+        for check, counts in SIDE_CHECK_APPLICABLE.items():
+            assert reports[check].counterexamples == (), (check, n)
+            assert reports[check].applicable == counts[n - 1], (check, n)
 
 
 def test_criterion_07_catalog_soundness(tmp_path):

@@ -47,12 +47,19 @@ class TestResidue:
         p.write_text("\n" + P5_G6 + "\nBw\n")  # first record wins
         code, out, _ = run(["residue", f"@{p}"], capsys=capsys)
         assert code == 0 and out == "R = 2\n"
+        p.write_text("\n  \n")
+        code, out, err = run(["residue", f"@{p}"], capsys=capsys)
+        assert code == 2 and out == "" and "empty record" in err
 
     def test_stdin(self, capsys, monkeypatch):
         code, out, _ = run(
             ["residue", "-"], stdin=P5_G6 + "\n", capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == 0 and out == "R = 2\n"
+        code, out, err = run(
+            ["residue", "-"], stdin="\n  \n", capsys=capsys, monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == "" and "empty record" in err
 
     def test_parse_errors_exit_2(self, capsys):
         code, _, err = run(["residue", "~zz"], capsys=capsys)
@@ -165,6 +172,11 @@ class TestDetect:
     def test_unknown_token(self, capsys):
         code, _, err = run(["detect", P5_G6, "--patterns", "c7"], capsys=capsys)
         assert code == 2 and "unknown pattern token" in err
+
+    def test_bad_family_cap(self, capsys):
+        code, out, err = run(["detect", P5_G6, "--patterns", "f:x"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert "'f:x'" in err and "f:MAXN" in err
 
 
 class TestGenF:

@@ -90,6 +90,15 @@ class TestCheckOne:
         multi = Graph(7, [(0, 4), (0, 6), (1, 4), (1, 5), (2, 3)])
         assert check_one(multi, CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI) is Verdict.PASS
 
+    def test_lemma_reductions_fail_path(self, monkeypatch):
+        # a host past the all-MIS cap raises instead of failing
+        with pytest.raises(ValueError, match="limited to n <= 32"):
+            check_one(empty(40), CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI)
+        # a reduced graph with two maximum independent sets is a
+        # counterexample, not an error
+        monkeypatch.setattr(verify, "reduction_pipeline", lambda g, v: (C4, 0))
+        assert check_one(P5, CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI) is Verdict.FAIL
+
     def test_alpha_le2(self):
         assert check_one(Graph(1), CheckId.ALPHA_LE_2_EDGELESS) is Verdict.PASS
         assert check_one(Graph(2), CheckId.ALPHA_LE_2_EDGELESS) is Verdict.PASS
@@ -116,6 +125,12 @@ class TestCheckOne:
         assert check_one(empty(4), CheckId.THM_STRUCTURE_ALPHA_GT3) is Verdict.PASS
         assert check_one(path(7), CheckId.THM_STRUCTURE_ALPHA_GT3) is Verdict.NOT_APPLICABLE
         assert check_one(P5, CheckId.THM_STRUCTURE_ALPHA_GT3) is Verdict.NOT_APPLICABLE
+        # its induced 5-paths center on 1 or 6, neither of them MDI (4, 5)
+        p5_off_mdi = Graph(
+            8,
+            [(0, 6), (0, 7), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)],
+        )
+        assert check_one(p5_off_mdi, CheckId.THM_STRUCTURE_ALPHA_GT3) is Verdict.PASS
 
     def test_f_members(self):
         assert check_one(gen_f_member("A", 4).graph, CheckId.F_MEMBERS_ARE_MDI) is Verdict.PASS
@@ -251,6 +266,18 @@ class TestCorpusSource:
         assert sorted(rep.counterexamples) == sorted(
             [to_graph6(a3.graph), to_graph6(b3.graph)]
         )
+
+    def test_records_over_vertex_limit_skipped(self, tmp_path, capsys):
+        big = to_graph6(empty(40))
+        p = self.make_corpus(tmp_path, ["Bw", big, "DhC", to_graph6(empty(32))])
+        check = CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI
+        (rep,) = run_suite(CorpusSource(p), [check], shards=2)
+        assert rep.scanned == 3 and rep.skipped_records == 1
+        assert rep.applicable == 2 and rep.counterexamples == ()
+        err = capsys.readouterr().err
+        assert err == f"warning: {p}:2: skipping record: 40 vertices, limit 32\n"
+        assert hunt(CorpusSource(p), check, stop_after=1) == []
+        assert capsys.readouterr().err == err
 
     def test_empty_corpus(self, tmp_path):
         p = self.make_corpus(tmp_path, [""])
