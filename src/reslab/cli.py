@@ -108,11 +108,14 @@ def _cmd_mdi(args) -> int:
 
 def _parse_pattern_tokens(tokens: str, host_n: int):
     """Expand the --patterns list into (label, graph-or-star) pairs."""
+    names = [t for t in (t.strip() for t in tokens.split(",")) if t]
+    if not names:
+        raise ValueError(
+            f"--patterns {tokens!r} names no pattern; "
+            "expected a comma list of c4, p5, p5star, f or f:MAXN"
+        )
     out = []
-    for token in tokens.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in names:
         if token == "c4":
             out.append(("c4", patterns.cycle(4)))
         elif token == "p5":
@@ -125,9 +128,12 @@ def _parse_pattern_tokens(tokens: str, host_n: int):
                 try:
                     cap = int(token[2:])
                 except ValueError:
+                    cap = -1  # reported below, with the negative caps
+                if cap < 0:
                     raise ValueError(
-                        f"bad pattern token {token!r}: expected f:MAXN, MAXN an integer"
-                    ) from None
+                        f"bad pattern token {token!r}: expected f:MAXN, "
+                        "MAXN a non-negative integer"
+                    )
             if cap >= 6:
                 for m in patterns.f_catalog(min(cap, max(host_n, 6))):
                     if m.graph.n <= host_n:

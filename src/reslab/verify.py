@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -22,7 +23,7 @@ from ._version import __version__
 from .degseq import hh_realization, residue_seq
 from .graphs import (
     Graph,
-    _enum_range,
+    _pairs,
     degree_sequence,
     from_graph6,
     pair_order,
@@ -126,17 +127,23 @@ class GraphFacts:
     """Per-graph lazy cache shared by all checks in a scan."""
 
     def __init__(self, g: Graph):
+        self.n = g.n
         self.graph = g
         self._patterns: dict[Graph, bool] = {}
+        self._members: dict[bool, bool] = {}
         self._pipelines: dict[int, tuple[Graph, int]] = {}
 
     @_lazy
     def full_mask(self) -> int:
-        return (1 << self.graph.n) - 1
+        return (1 << self.n) - 1
+
+    @_lazy
+    def degrees(self) -> tuple[int, ...]:
+        return degree_sequence(self.graph)
 
     @_lazy
     def residue(self) -> int:
-        return _residue_of_sequence(degree_sequence(self.graph))
+        return _residue_of_sequence(self.degrees)
 
     @_lazy
     def alpha(self) -> int:
@@ -157,7 +164,7 @@ class GraphFacts:
 
     @_lazy
     def mdi_mask(self) -> int:
-        return _mdi_mask(self.graph.adj, self.graph.n, self.alpha)
+        return _mdi_mask(self.graph.adj, self.n, self.alpha)
 
     @_lazy
     def edge_count(self) -> int:
@@ -172,6 +179,24 @@ class GraphFacts:
         if hit is None:
             hit = find_induced(self.graph, pattern) is not None
             self._patterns[pattern] = hit
+        return hit
+
+    def has_member(self, filtered: bool) -> bool:
+        """Whether some catalog member (filtered or raw) is induced.
+
+        Every member holds an induced C4 (u and v are non-adjacent with
+        two non-adjacent common neighbours in the core), so a C4-free
+        host is answered without a catalog search.
+        """
+        hit = self._members.get(filtered)
+        if hit is None:
+            members = _catalog_upto(self.n, filtered)
+            hit = (
+                bool(members)
+                and self.has_pattern(_C4)
+                and any(self.has_pattern(m.graph) for m in members)
+            )
+            self._members[filtered] = hit
         return hit
 
     def pipeline(self, v: int) -> tuple[Graph, int]:
@@ -215,11 +240,9 @@ def _ck_hh_deletion(f: GraphFacts) -> Verdict:
 
 
 def _ck_realization(f: GraphFacts) -> Verdict:
-    if f.graph.n == 0:
+    if f.n == 0:
         return Verdict.NOT_APPLICABLE
-    return _passfail(
-        _sequence_realization_has_hh_vertex(degree_sequence(f.graph))
-    )
+    return _passfail(_sequence_realization_has_hh_vertex(f.degrees))
 
 
 def _ck_thm_bm(f: GraphFacts) -> Verdict:
@@ -229,30 +252,27 @@ def _ck_thm_bm(f: GraphFacts) -> Verdict:
 
 
 def _ck_corollary(f: GraphFacts) -> Verdict:
-    if f.has_pattern(_P5):
+    if f.has_pattern(_P5) or f.has_member(True):
         return Verdict.NOT_APPLICABLE
-    for m in _catalog_upto(f.graph.n, True):
-        if f.has_pattern(m.graph):
-            return Verdict.NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
 
 def _ck_lemma_reductions(f: GraphFacts) -> Verdict:
-    if f.graph.n == 0 or not f.mdi_mask:
+    if f.n == 0 or not f.mdi_mask:
         return Verdict.NOT_APPLICABLE
     for v in _bits(f.mdi_mask):
         # with a unique MIS, lying in every MIS means lying in that one
         try:
             _unique_mis_mask(*f.pipeline(v))
         except ValueError:
-            if f.graph.n > ALL_MIS_CAP:
+            if f.n > ALL_MIS_CAP:
                 raise  # too large to reduce, not a counterexample
             return Verdict.FAIL
     return Verdict.PASS
 
 
 def _ck_alpha_le2(f: GraphFacts) -> Verdict:
-    if f.graph.n == 0 or not f.mdi_mask or f.alpha > 2:
+    if f.n == 0 or not f.mdi_mask or f.alpha > 2:
         return Verdict.NOT_APPLICABLE
     return _passfail(f.edge_count == 0)
 
@@ -295,13 +315,10 @@ def _ck_structure_a3(f: GraphFacts) -> Verdict:
         return Verdict.NOT_APPLICABLE
     if f.edge_count == 0:
         return Verdict.PASS  # bare independent set: nothing to locate
-    unanchored = any(
-        f.has_pattern(m.graph) for m in _catalog_upto(f.graph.n, False)
-    )
     anchored = all(
         _anchored_member_found(*f.pipeline(v)) for v in _bits(f.mdi_mask)
     )
-    return _passfail(unanchored and anchored)
+    return _passfail(f.has_member(False) and anchored)
 
 
 def _ck_structure_gt3(f: GraphFacts) -> Verdict:
@@ -309,13 +326,11 @@ def _ck_structure_gt3(f: GraphFacts) -> Verdict:
         return Verdict.NOT_APPLICABLE
     if f.edge_count == 0:
         return Verdict.PASS
-    return _passfail(
-        any(f.has_pattern(m.graph) for m in _catalog_upto(f.graph.n, False))
-    )
+    return _passfail(f.has_member(False))
 
 
 def _ck_f_members(f: GraphFacts) -> Verdict:
-    if f.graph.n == 0:
+    if f.n == 0:
         return Verdict.NOT_APPLICABLE
     return _passfail(bool(f.mdi_mask))
 
@@ -421,6 +436,196 @@ def _warn_skipped(path: str, skipped) -> None:
         )
 
 
+# Labeled scans: each graph's facts are read from tables over the labeled
+# graphs one vertex smaller.  With G - v relabeled densely:
+#   alpha(G) = max(alpha(G - u), alpha(G - w)) for any edge uw, since a
+#   maximum independent set misses u or w;
+#   the Maxine sizes are the union of those of G - v over the max-degree
+#   v, which is the recurrence itself;
+#   v is MDI iff it has maximum degree and alpha(G - v) < alpha(G);
+#   an induced C4 or P5 in a graph with more vertices than the pattern
+#   misses some v, so it lies in G - v.
+# An edgeless graph on k vertices has alpha = k, Maxine size {k} and
+# every vertex MDI.
+
+_CHUNK = 7  # edge-mask bits per lookup
+_CHUNK_MASK = (1 << _CHUNK) - 1
+_LAYERED = (_C4, _P5)  # patterns answered from the tables
+
+
+@lru_cache(maxsize=None)
+def _chunk_tables(n: int):
+    """Lookups over the 7-bit chunks of an n-vertex edge mask.
+
+    deg[c][x] is the degree vector, packed base n (vertex v's degree is
+    the digit of n**v), of the edges that chunk c holds when its bits
+    read x.  sub[v][c][x] is the mask of those edges over
+    pair_order(n - 1) once v is deleted and the vertices above v move
+    down by one.
+    """
+    pairs = _pairs(n)
+    spans = [pairs[i : i + _CHUNK] for i in range(0, len(pairs), _CHUNK)] or [()]
+
+    def table(weight):
+        # weight(i, j): what edge (i, j) adds to an entry when its bit is set
+        return [
+            [
+                sum(weight(i, j) for k, (i, j) in enumerate(span) if x >> k & 1)
+                for x in range(1 << len(span))
+            ]
+            for span in spans
+        ]
+
+    def kept_edge(v):
+        def weight(i, j):
+            if v in (i, j):
+                return 0
+            i, j = i - (i > v), j - (j > v)
+            return 1 << (j * (j - 1) // 2 + i)
+
+        return weight
+
+    return table(lambda i, j: n**i + n**j), [table(kept_edge(v)) for v in range(n)]
+
+
+class _DegreeClasses:
+    """Degree vectors of n-vertex graphs, packed base n (see
+    _chunk_tables), grouped by (max-degree vertices, sorted degrees);
+    each class also carries the residue.  Classes are found as a scan
+    meets their vectors."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ids = array("I", bytes(4 * n**n))  # 0: vector not met yet
+        self.classes: list = [None]
+        self._index: dict = {}
+
+    def add(self, packed: int) -> int:
+        n = self.n
+        degs = [packed // n**v % n for v in range(n)]
+        top = max(degs, default=0)
+        seq = tuple(sorted(degs, reverse=True))
+        key = (tuple(v for v in range(n) if degs[v] == top), seq)
+        cid = self._index.get(key)
+        if cid is None:
+            cid = self._index[key] = len(self.classes)
+            self.classes.append(key + (_residue_of_sequence(seq),))
+        self.ids[packed] = cid
+        return cid
+
+
+_degree_classes = lru_cache(maxsize=None)(_DegreeClasses)
+
+
+@lru_cache(maxsize=None)
+def _level(k: int) -> tuple[bytearray, bytearray]:
+    """alpha and Maxine size bitmask of every labeled k-vertex graph,
+    indexed by edge mask; bytes suffice for k <= 7 (ENUM_CAP - 1)."""
+    alphas = bytearray()
+    sizes = bytearray()
+    for f in _layer_facts(k, 0, 1 << len(_pairs(k))):
+        alphas.append(f.alpha)
+        sizes.append(f.maxine_sizes)
+    return alphas, sizes
+
+
+@lru_cache(maxsize=None)
+def _pattern_level(pattern: Graph, k: int) -> bytearray:
+    """1 at every k-vertex edge mask whose graph holds `pattern` induced."""
+    return bytearray(
+        f.has_pattern(pattern) for f in _layer_facts(k, 0, 1 << len(_pairs(k)))
+    )
+
+
+class _LayerFacts(GraphFacts):
+    """GraphFacts of a labeled graph given by its edge mask, seeded from
+    the tables; `graph` is built only when a check asks for it."""
+
+    def __init__(self, n, mask, alpha, sizes, mdi, degclass, high_subs, low):
+        self.n = n
+        self.mask = mask
+        self.alpha = alpha
+        self.maxine_sizes = sizes
+        self.mdi_mask = mdi
+        self.degrees = degclass[1]
+        self.residue = degclass[2]
+        self._high_subs = high_subs
+        self._low = low
+        self._patterns = {}
+        self._members = {}
+        self._pipelines = {}
+
+    @_lazy
+    def graph(self) -> Graph:
+        return Graph.from_mask(self.n, self.mask)
+
+    @_lazy
+    def edge_count(self) -> int:
+        return self.mask.bit_count()
+
+    def has_pattern(self, pattern: Graph) -> bool:
+        hit = self._patterns.get(pattern)
+        if hit is None:
+            if self.n < pattern.n:
+                hit = False
+            elif self.n > pattern.n and pattern in _LAYERED:
+                table = _pattern_level(pattern, self.n - 1)
+                low_subs = _chunk_tables(self.n)[1]
+                x = self._low
+                hit = any(
+                    table[high | low_subs[v][0][x]]
+                    for v, high in enumerate(self._high_subs)
+                )
+            else:
+                return super().has_pattern(pattern)
+            self._patterns[pattern] = hit
+        return hit
+
+
+def _layer_facts(n: int, lo: int, hi: int):
+    """Facts of the labeled n-vertex graphs with edge masks lo..hi-1, in
+    counting order.  The low 7 mask bits vary fastest, so the chunk
+    lookups of the higher bits are made once per 128 graphs."""
+    pairs = _pairs(n)
+    deg, sub = _chunk_tables(n)
+    alphas, sizes = _level(n - 1) if n else (None, None)
+    degree_classes = _degree_classes(n)
+    ids, classes = degree_classes.ids, degree_classes.classes
+    low_deg = deg[0]
+    low_sub = [s[0] for s in sub]
+    edgeless = (n, 1 << n, (1 << n) - 1)
+    for high in range(lo >> _CHUNK, ((hi - 1) >> _CHUNK) + 1):
+        high_deg = 0
+        high_subs = [0] * n
+        for c in range(1, len(deg)):
+            x = high >> _CHUNK * (c - 1) & _CHUNK_MASK
+            high_deg += deg[c][x]
+            for v in range(n):
+                high_subs[v] |= sub[v][c][x]
+        base = high << _CHUNK
+        for x in range(max(lo - base, 0), min(hi - base, 1 << _CHUNK)):
+            mask = base | x
+            packed = high_deg + low_deg[x]
+            degclass = classes[ids[packed] or degree_classes.add(packed)]
+            if mask:
+                low = mask & -mask
+                u, w = pairs[low.bit_length() - 1]
+                a = alphas[high_subs[u] | low_sub[u][x]]
+                b = alphas[high_subs[w] | low_sub[w][x]]
+                alpha = a if a > b else b
+                size_mask = mdi = 0
+                for v in degclass[0]:
+                    s = high_subs[v] | low_sub[v][x]
+                    size_mask |= sizes[s]
+                    if alphas[s] < alpha:
+                        mdi |= 1 << v
+                yield _LayerFacts(
+                    n, mask, alpha, size_mask, mdi, degclass, high_subs, x
+                )
+            else:
+                yield _LayerFacts(n, 0, *edgeless, degclass, high_subs, x)
+
+
 def _scan_chunk(payload):
     kind, data, check_values = payload
     checks = [CheckId(c) for c in check_values]
@@ -429,20 +634,18 @@ def _scan_chunk(payload):
     skipped: list[tuple[int, str]] = []
     scanned = 0
     if kind == "enum":
-        n, lo, hi = data
-        graphs = _enum_range(n, lo, hi)
+        facts_of = _layer_facts(*data)
     else:
-        graphs = _decode(data, skipped)
-    for g in graphs:
+        facts_of = map(GraphFacts, _decode(data, skipped))
+    for facts in facts_of:
         scanned += 1
-        facts = GraphFacts(g)
         for c in checks:
             verdict = _CHECKS[c](facts)
             if verdict is Verdict.NOT_APPLICABLE:
                 continue
             applicable[c] += 1
             if verdict is Verdict.FAIL:
-                fails[c].append(to_graph6(g))
+                fails[c].append(to_graph6(facts.graph))
     return scanned, applicable, fails, skipped
 
 
@@ -524,16 +727,16 @@ def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:
         raise ValueError("stop_after must be >= 1")
     found: list[str] = []
     if isinstance(source, EnumerationSource):
-        graphs = _enum_range(source.n, 0, 1 << len(pair_order(source.n)))
+        facts_of = _layer_facts(source.n, 0, 1 << len(pair_order(source.n)))
     elif isinstance(source, CorpusSource):
         bad: list[tuple[int, str]] = []
-        graphs = list(_decode(_read_corpus(source.path), bad))
+        facts_of = map(GraphFacts, list(_decode(_read_corpus(source.path), bad)))
         _warn_skipped(source.path, bad)
     else:
         raise TypeError(f"unknown source {source!r}")
-    for g in graphs:
-        if _CHECKS[cid](GraphFacts(g)) is Verdict.FAIL:
-            found.append(to_graph6(g))
+    for facts in facts_of:
+        if _CHECKS[cid](facts) is Verdict.FAIL:
+            found.append(to_graph6(facts.graph))
             if len(found) >= stop_after:
                 break
     return found

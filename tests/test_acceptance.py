@@ -1,6 +1,6 @@
 """Acceptance gate: ten numbered criteria, one test (and one pass/fail
 line in `pytest -v`) per criterion, plus pinned applicable counts for the
-bundled checks no criterion reads.
+bundled checks no criterion reads and for the corpus8 structure checks.
 
 Everything asserts exact counts; the only tolerance anywhere is the
 wall-clock bound in criterion 1, pinned at 600 s for a single-shard scan.
@@ -127,6 +127,7 @@ def test_criterion_04_structure_alpha3():
         applicable += rep.applicable
     rep8 = corpus_reports()[CheckId.THM_STRUCTURE_ALPHA3]
     assert rep8.scanned == 12346
+    assert rep8.applicable == 35  # measured on the corpus scan
     bad.extend(rep8.counterexamples)
     applicable += rep8.applicable
     assert applicable > 0  # the statement is exercised, not vacuous
@@ -142,6 +143,7 @@ def test_criterion_05_structure_alpha_gt3():
         bad.extend(rep.counterexamples)
         applicable += rep.applicable
     rep8 = corpus_reports()[CheckId.THM_STRUCTURE_ALPHA_GT3]
+    assert rep8.applicable == 35  # measured on the corpus scan
     bad.extend(rep8.counterexamples)
     applicable += rep8.applicable
     assert applicable > 0

@@ -169,6 +169,17 @@ class TestDetect:
         code, out, _ = run(["detect", A4_G6, "--patterns", "f:5"], capsys=capsys)
         assert code == 0 and out == ""
 
+    def test_empty_selection(self, capsys):
+        # selecting nothing must not read as "absent"
+        code, out, err = run(["detect", P5_G6, "--patterns", ","], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --patterns ',' names no pattern")
+
+    def test_negative_family_cap(self, capsys):
+        code, out, err = run(["detect", P5_G6, "--patterns", "f:-3"], capsys=capsys)
+        assert code == 2 and out == ""
+        assert "'f:-3'" in err and "non-negative" in err
+
     def test_unknown_token(self, capsys):
         code, _, err = run(["detect", P5_G6, "--patterns", "c7"], capsys=capsys)
         assert code == 2 and "unknown pattern token" in err

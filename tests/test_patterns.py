@@ -149,6 +149,12 @@ class TestCatalog:
         for m in f_catalog(8, mdi_filter=False):
             assert m.graph.n <= 8
 
+    def test_every_member_holds_induced_c4(self):
+        # u and v are non-adjacent with two non-adjacent common neighbours;
+        # the scan's catalog searches skip C4-free hosts on this ground
+        for m in f_catalog(10, mdi_filter=False):
+            assert oracles.brute_induced_exists(m.graph, cycle(4)), m.label
+
     def test_minimum_bound(self):
         assert [m.label for m in f_catalog(6, mdi_filter=False)] == [
             "A3",

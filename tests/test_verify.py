@@ -1,6 +1,7 @@
 """Check semantics, scanning, sharding determinism, and report schema."""
 
 import json
+import random
 
 import pytest
 
@@ -217,6 +218,72 @@ class TestRunSuite:
     def test_unknown_source(self):
         with pytest.raises(TypeError):
             run_suite(object(), [CheckId.THM2_SANDWICH], shards=1)
+
+
+class TestLayerTables:
+    """Labeled scans read their facts from tables over the graphs one
+    vertex smaller; the per-graph GraphFacts is the reference."""
+
+    @staticmethod
+    def assert_matches_per_graph(f):
+        ref = verify.GraphFacts(Graph.from_mask(f.n, f.mask))
+        got = (
+            f.alpha,
+            f.maxine_sizes,
+            f.residue,
+            f.mdi_mask,
+            f.degrees,
+            f.edge_count,
+            f.has_pattern(C4),
+            f.has_pattern(P5),
+        )
+        want = (
+            ref.alpha,
+            ref.maxine_sizes,
+            ref.residue,
+            ref.mdi_mask,
+            ref.degrees,
+            ref.edge_count,
+            ref.has_pattern(C4),
+            ref.has_pattern(P5),
+        )
+        assert got == want, (f.n, f.mask)
+
+    def test_every_labeled_graph_up_to_n6(self):
+        for n in range(7):
+            total = 1 << (n * (n - 1) // 2)
+            masks = []
+            for f in verify._layer_facts(n, 0, total):
+                self.assert_matches_per_graph(f)
+                masks.append(f.mask)
+            assert masks == list(range(total))
+
+    def test_seeded_sample_n7(self):
+        for mask in random.Random(2024).sample(range(1 << 21), 1 << 12):
+            (f,) = verify._layer_facts(7, mask, mask + 1)
+            assert f.mask == mask
+            self.assert_matches_per_graph(f)
+
+    def test_sandwich_scan_builds_no_graph(self, monkeypatch):
+        built = []
+        make, init = Graph._make.__func__, Graph.__init__
+
+        def counting_make(cls, n, adj):
+            built.append(n)
+            return make(cls, n, adj)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "_make", classmethod(counting_make))
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        (rep,) = run_suite(EnumerationSource(5), [CheckId.THM2_SANDWICH], shards=1)
+        assert rep.scanned == rep.applicable == 1024
+        assert rep.counterexamples == ()
+        assert built == []
+        assert Graph.from_mask(3, 1) == Graph(3, [(0, 1)])  # counting works
+        assert len(built) == 2
 
 
 class TestCorpusSource:
