@@ -35,7 +35,7 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 class Graph:
     """Immutable undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_hash")  # _hash: set on first hash()
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
@@ -98,7 +98,12 @@ class Graph:
         )
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.adj))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"Graph({self.n}, {sorted(self.edges())})"

@@ -18,12 +18,15 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
+from operator import getitem
 
 from ._version import __version__
 from .degseq import hh_realization, residue_seq
 from .graphs import (
+    ENUM_CAP,
     Graph,
     _pairs,
+    _perm_edge_tables,
     degree_sequence,
     from_graph6,
     pair_order,
@@ -174,6 +177,14 @@ class GraphFacts:
     def p5_star(self) -> bool:
         return _has_p5_star(self.graph, self.mdi_mask)
 
+    @_lazy
+    def hh_size(self) -> int | None:
+        """Survivor count of the guided run (maxine_hh); None if it strands."""
+        try:
+            return maxine_hh(self.graph).size
+        except NoHHVertexError:
+            return None
+
     def has_pattern(self, pattern: Graph) -> bool:
         hit = self._patterns.get(pattern)
         if hit is None:
@@ -232,11 +243,9 @@ def _ck_thm2(f: GraphFacts) -> Verdict:
 
 
 def _ck_hh_deletion(f: GraphFacts) -> Verdict:
-    try:
-        out = maxine_hh(f.graph)
-    except NoHHVertexError:
+    if f.hh_size is None:
         return Verdict.NOT_APPLICABLE
-    return _passfail(out.size == f.residue)
+    return _passfail(f.hh_size == f.residue)
 
 
 def _ck_realization(f: GraphFacts) -> Verdict:
@@ -362,6 +371,12 @@ class EnumerationSource:
 
     n: int
 
+    def __post_init__(self):
+        if not 0 <= self.n <= ENUM_CAP:
+            raise ValueError(
+                f"enumeration limited to 0..{ENUM_CAP} vertices, got {self.n}"
+            )
+
     def describe(self) -> str:
         return f"enumeration(n={self.n})"
 
@@ -443,14 +458,18 @@ def _warn_skipped(path: str, skipped) -> None:
 #   the Maxine sizes are the union of those of G - v over the max-degree
 #   v, which is the recurrence itself;
 #   v is MDI iff it has maximum degree and alpha(G - v) < alpha(G);
-#   an induced C4 or P5 in a graph with more vertices than the pattern
-#   misses some v, so it lies in G - v.
-# An edgeless graph on k vertices has alpha = k, Maxine size {k} and
-# every vertex MDI.
+#   the guided run (maxine_hh) ends as that of G - v* does, v* its first
+#   deletion, since G - v keeps the vertex order that breaks ties;
+#   an induced C4, P5 or catalog member with fewer vertices than G misses
+#   some v, so it lies in G - v; one with as many is a relabeling of G.
+# An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
+# vertex MDI, and a guided run that deletes nothing.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
-_LAYERED = (_C4, _P5)  # patterns answered from the tables
+# bits of _LayerFacts.flags
+_C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
+_PATTERN_FLAGS = {_C4: _C4_FLAG, _P5: _P5_FLAG}
 
 
 @lru_cache(maxsize=None)
@@ -461,20 +480,22 @@ def _chunk_tables(n: int):
     the digit of n**v), of the edges that chunk c holds when its bits
     read x.  sub[v][c][x] is the mask of those edges over
     pair_order(n - 1) once v is deleted and the vertices above v move
-    down by one.
+    down by one.  nbr[v][c][x] is the vertex mask of v's neighbours
+    along those edges.
     """
     pairs = _pairs(n)
     spans = [pairs[i : i + _CHUNK] for i in range(0, len(pairs), _CHUNK)] or [()]
 
     def table(weight):
         # weight(i, j): what edge (i, j) adds to an entry when its bit is set
-        return [
-            [
-                sum(weight(i, j) for k, (i, j) in enumerate(span) if x >> k & 1)
-                for x in range(1 << len(span))
-            ]
-            for span in spans
-        ]
+        out = []
+        for span in spans:
+            row = [0]
+            for i, j in span:
+                w = weight(i, j)
+                row += [r + w for r in row]
+            out.append(row)
+        return out
 
     def kept_edge(v):
         def weight(i, j):
@@ -485,7 +506,11 @@ def _chunk_tables(n: int):
 
         return weight
 
-    return table(lambda i, j: n**i + n**j), [table(kept_edge(v)) for v in range(n)]
+    return (
+        table(lambda i, j: n**i + n**j),
+        [table(kept_edge(v)) for v in range(n)],
+        [table(lambda i, j, v=v: (i == v) << j | (j == v) << i) for v in range(n)],
+    )
 
 
 class _DegreeClasses:
@@ -517,31 +542,58 @@ class _DegreeClasses:
 _degree_classes = lru_cache(maxsize=None)(_DegreeClasses)
 
 
+def _all_masks(k: int):
+    return _layer_facts(k, 0, 1 << len(_pairs(k)))
+
+
 @lru_cache(maxsize=None)
 def _level(k: int) -> tuple[bytearray, bytearray]:
     """alpha and Maxine size bitmask of every labeled k-vertex graph,
     indexed by edge mask; bytes suffice for k <= 7 (ENUM_CAP - 1)."""
     alphas = bytearray()
     sizes = bytearray()
-    for f in _layer_facts(k, 0, 1 << len(_pairs(k))):
+    for f in _all_masks(k):
         alphas.append(f.alpha)
         sizes.append(f.maxine_sizes)
     return alphas, sizes
 
 
 @lru_cache(maxsize=None)
-def _pattern_level(pattern: Graph, k: int) -> bytearray:
-    """1 at every k-vertex edge mask whose graph holds `pattern` induced."""
-    return bytearray(
-        f.has_pattern(pattern) for f in _layer_facts(k, 0, 1 << len(_pairs(k)))
-    )
+def _hh_level(k: int) -> bytearray:
+    """Guided-run outcome of every labeled k-vertex graph, by edge mask:
+    0 when the run strands, else the survivor count + 1."""
+    return bytearray(0 if f.hh_size is None else f.hh_size + 1 for f in _all_masks(k))
+
+
+@lru_cache(maxsize=None)
+def _flag_level(k: int) -> bytearray:
+    """_LayerFacts.flags of every labeled k-vertex graph, by edge mask."""
+    return bytearray(f.flags for f in _all_masks(k))
+
+
+@lru_cache(maxsize=None)
+def _relabeled_flags(k: int) -> dict[int, int]:
+    """Flags of the k-vertex edge masks that relabel a flagged pattern
+    with exactly k vertices, OR-ed over those patterns."""
+    patterns = list(_PATTERN_FLAGS.items()) + [
+        (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
+        for m in _catalog_upto(k, False)
+    ]
+    out: dict[int, int] = {}
+    for pattern, flag in patterns:
+        if pattern.n == k:
+            mask = pattern.mask()
+            for table in _perm_edge_tables(k):
+                image = sum(1 << table[b] for b in _bits(mask))
+                out[image] = out.get(image, 0) | flag
+    return out
 
 
 class _LayerFacts(GraphFacts):
     """GraphFacts of a labeled graph given by its edge mask, seeded from
     the tables; `graph` is built only when a check asks for it."""
 
-    def __init__(self, n, mask, alpha, sizes, mdi, degclass, high_subs, low):
+    def __init__(self, n, mask, alpha, sizes, mdi, degclass, high_subs, packed):
         self.n = n
         self.mask = mask
         self.alpha = alpha
@@ -550,9 +602,8 @@ class _LayerFacts(GraphFacts):
         self.degrees = degclass[1]
         self.residue = degclass[2]
         self._high_subs = high_subs
-        self._low = low
+        self._packed = packed  # degree vector, see _chunk_tables
         self._patterns = {}
-        self._members = {}
         self._pipelines = {}
 
     @_lazy
@@ -563,23 +614,47 @@ class _LayerFacts(GraphFacts):
     def edge_count(self) -> int:
         return self.mask.bit_count()
 
+    @_lazy
+    def hh_size(self) -> int | None:
+        n, mask = self.n, self.mask
+        if not mask:
+            return n
+        _, sub, nbr = _chunk_tables(n)
+        chunks = [mask >> _CHUNK * c & _CHUNK_MASK for c in range(len(nbr[0]))]
+        degs = [self._packed // n**u % n for u in range(n)]
+        top = self.degrees[0]
+        # a max-degree v dominates iff its neighbours are `top` other
+        # vertices of highest degree, i.e. their degrees sum to `want`
+        want = sum(self.degrees[1 : top + 1])
+        for v in range(n):
+            if degs[v] == top:
+                nbrs = sum(map(getitem, nbr[v], chunks))
+                if sum(d for u, d in enumerate(degs) if nbrs >> u & 1) == want:
+                    code = _hh_level(n - 1)[self._high_subs[v] | sub[v][0][chunks[0]]]
+                    return code - 1 if code else None
+        return None
+
+    @_lazy
+    def flags(self) -> int:
+        """Which of C4, P5, a filtered catalog member and a raw member
+        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG."""
+        n = self.n
+        out = _relabeled_flags(n).get(self.mask, 0)
+        if n:
+            table = _flag_level(n - 1)
+            x = self.mask & _CHUNK_MASK
+            for high, sub in zip(self._high_subs, _chunk_tables(n)[1]):
+                out |= table[high | sub[0][x]]
+        return out
+
     def has_pattern(self, pattern: Graph) -> bool:
-        hit = self._patterns.get(pattern)
-        if hit is None:
-            if self.n < pattern.n:
-                hit = False
-            elif self.n > pattern.n and pattern in _LAYERED:
-                table = _pattern_level(pattern, self.n - 1)
-                low_subs = _chunk_tables(self.n)[1]
-                x = self._low
-                hit = any(
-                    table[high | low_subs[v][0][x]]
-                    for v, high in enumerate(self._high_subs)
-                )
-            else:
-                return super().has_pattern(pattern)
-            self._patterns[pattern] = hit
-        return hit
+        flag = _PATTERN_FLAGS.get(pattern)
+        if flag is None:
+            return super().has_pattern(pattern)
+        return bool(self.flags & flag)
+
+    def has_member(self, filtered: bool) -> bool:
+        return bool(self.flags & (_MEMBER_FLAG if filtered else _RAW_MEMBER_FLAG))
 
 
 def _layer_facts(n: int, lo: int, hi: int):
@@ -587,7 +662,7 @@ def _layer_facts(n: int, lo: int, hi: int):
     counting order.  The low 7 mask bits vary fastest, so the chunk
     lookups of the higher bits are made once per 128 graphs."""
     pairs = _pairs(n)
-    deg, sub = _chunk_tables(n)
+    deg, sub, _ = _chunk_tables(n)
     alphas, sizes = _level(n - 1) if n else (None, None)
     degree_classes = _degree_classes(n)
     ids, classes = degree_classes.ids, degree_classes.classes
@@ -620,10 +695,10 @@ def _layer_facts(n: int, lo: int, hi: int):
                     if alphas[s] < alpha:
                         mdi |= 1 << v
                 yield _LayerFacts(
-                    n, mask, alpha, size_mask, mdi, degclass, high_subs, x
+                    n, mask, alpha, size_mask, mdi, degclass, high_subs, packed
                 )
             else:
-                yield _LayerFacts(n, 0, *edgeless, degclass, high_subs, x)
+                yield _LayerFacts(n, 0, *edgeless, degclass, high_subs, packed)
 
 
 def _scan_chunk(payload):
@@ -727,7 +802,7 @@ def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:
         raise ValueError("stop_after must be >= 1")
     found: list[str] = []
     if isinstance(source, EnumerationSource):
-        facts_of = _layer_facts(source.n, 0, 1 << len(pair_order(source.n)))
+        facts_of = _all_masks(source.n)
     elif isinstance(source, CorpusSource):
         bad: list[tuple[int, str]] = []
         facts_of = map(GraphFacts, list(_decode(_read_corpus(source.path), bad)))

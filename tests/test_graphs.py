@@ -48,6 +48,11 @@ class TestGraphBasics:
             K3.n = 5
         assert Graph(3, [(0, 1), (0, 2), (1, 2)]) == K3
         assert len({K3, Graph(3, [(0, 1), (0, 2), (1, 2)]), C4}) == 2
+        # the hash is kept after the first call, and stays read-only
+        assert hash(K3) == hash(K3) == hash(Graph.from_mask(3, 0b111))
+        with pytest.raises(AttributeError):
+            K3._hash = 0
+        assert hash(K3) == hash(Graph(3, [(0, 1), (0, 2), (1, 2)]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

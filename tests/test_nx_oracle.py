@@ -1,0 +1,69 @@
+"""A second oracle, independent of tests/oracles.py: networkx's VF2
+matcher decides the forbidden-structure facts that labeled scans read
+from their layered tables.  Skipped when networkx is not installed."""
+
+import random
+
+import pytest
+
+nx = pytest.importorskip("networkx")
+from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
+
+from reslab import verify  # noqa: E402
+from reslab.graphs import pair_order  # noqa: E402
+from reslab.patterns import f_catalog  # noqa: E402
+
+
+def nx_graph(n: int, edges) -> "nx.Graph":
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+def holds_induced(host, pattern) -> bool:
+    # GraphMatcher's subgraph isomorphism is node-induced
+    return GraphMatcher(host, pattern).subgraph_is_isomorphic()
+
+
+def passes_mdi(g, v) -> bool:
+    """v has maximum degree and lies in every maximum independent set,
+    found as the maximum cliques of the complement."""
+    if g.degree(v) < max(d for _, d in g.degree()):
+        return False
+    cliques = list(nx.find_cliques(nx.complement(g)))
+    top = max(map(len, cliques))
+    return all(v in c for c in cliques if len(c) == top)
+
+
+def catalog(max_vertices: int):
+    """(member graph, passes its own MDI test) for every catalog member."""
+    out = []
+    for m in f_catalog(max_vertices, mdi_filter=False):
+        g = nx_graph(m.graph.n, m.graph.edges())
+        out.append((g, passes_mdi(g, m.v_vertex)))
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_layer_flags_match_networkx(n):
+    c4, p5 = nx.cycle_graph(4), nx.path_graph(5)
+    members = catalog(n)
+    pairs = pair_order(n)
+    for mask in random.Random(1000 + n).sample(range(1 << len(pairs)), 512):
+        (f,) = verify._layer_facts(n, mask, mask + 1)
+        host = nx_graph(n, (e for k, e in enumerate(pairs) if mask >> k & 1))
+        found = [holds_induced(host, m) for m, _ in members]
+        want = (
+            holds_induced(host, c4),
+            holds_induced(host, p5),
+            any(hit for hit, (_, mdi) in zip(found, members) if mdi),
+            any(found),
+        )
+        got = (
+            f.has_pattern(verify._C4),
+            f.has_pattern(verify._P5),
+            f.has_member(True),
+            f.has_member(False),
+        )
+        assert got == want, (n, mask)

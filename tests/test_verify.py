@@ -6,7 +6,7 @@ import random
 import pytest
 
 from reslab import verify
-from reslab.graphs import Graph, from_graph6, to_graph6
+from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
 from reslab.patterns import cycle, empty, gen_f_member, path
 from reslab.verify import (
     CHECK_DESCRIPTIONS,
@@ -219,6 +219,20 @@ class TestRunSuite:
         with pytest.raises(TypeError):
             run_suite(object(), [CheckId.THM2_SANDWICH], shards=1)
 
+    @pytest.mark.parametrize("n", [-1, ENUM_CAP + 1])
+    def test_enumeration_size_checked(self, n):
+        # unchecked, n = -1 recurses without end and n = 9 allocates 4 * 9**9 bytes
+        message = rf"0\.\.{ENUM_CAP} vertices, got {n}"
+        with pytest.raises(ValueError, match=message):
+            run_suite(EnumerationSource(n), [CheckId.THM2_SANDWICH], shards=1)
+        with pytest.raises(ValueError, match=message):
+            hunt(EnumerationSource(n), CheckId.THM2_SANDWICH, 1)
+
+    def test_enumeration_size_bounds_kept(self):
+        (rep,) = run_suite(EnumerationSource(0), [CheckId.THM2_SANDWICH], shards=1)
+        assert rep.scanned == rep.applicable == 1
+        assert EnumerationSource(ENUM_CAP).describe() == f"enumeration(n={ENUM_CAP})"
+
 
 class TestLayerTables:
     """Labeled scans read their facts from tables over the graphs one
@@ -236,6 +250,9 @@ class TestLayerTables:
             f.edge_count,
             f.has_pattern(C4),
             f.has_pattern(P5),
+            f.has_member(True),
+            f.has_member(False),
+            f.hh_size,
         )
         want = (
             ref.alpha,
@@ -246,6 +263,9 @@ class TestLayerTables:
             ref.edge_count,
             ref.has_pattern(C4),
             ref.has_pattern(P5),
+            ref.has_member(True),
+            ref.has_member(False),
+            ref.hh_size,
         )
         assert got == want, (f.n, f.mask)
 
@@ -264,7 +284,9 @@ class TestLayerTables:
             assert f.mask == mask
             self.assert_matches_per_graph(f)
 
-    def test_sandwich_scan_builds_no_graph(self, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        """Record every Graph built from now on."""
         built = []
         make, init = Graph._make.__func__, Graph.__init__
 
@@ -278,12 +300,31 @@ class TestLayerTables:
 
         monkeypatch.setattr(Graph, "_make", classmethod(counting_make))
         monkeypatch.setattr(Graph, "__init__", counting_init)
+        return built
+
+    def test_sandwich_scan_builds_no_graph(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
         (rep,) = run_suite(EnumerationSource(5), [CheckId.THM2_SANDWICH], shards=1)
         assert rep.scanned == rep.applicable == 1024
         assert rep.counterexamples == ()
         assert built == []
         assert Graph.from_mask(3, 1) == Graph(3, [(0, 1)])  # counting works
         assert len(built) == 2
+
+    def test_guided_and_forbidden_checks_build_no_graph(self, monkeypatch):
+        checks = [
+            CheckId.THM1_RESIDUE_LE_ALPHA,
+            CheckId.THM2_SANDWICH,
+            CheckId.HH_DELETION_GIVES_RESIDUE,
+            CheckId.THM_BM_C4P5,
+            CheckId.COROLLARY_F_P5,
+        ]
+        verify._catalog_upto(6, False)  # the catalog's own graphs, built once
+        built = self.count_builds(monkeypatch)
+        reports = run_suite(EnumerationSource(6), checks, shards=1)
+        assert [r.applicable for r in reports] == [32768, 32768, 25198, 14338, 24428]
+        assert all(r.counterexamples == () for r in reports)
+        assert built == []
 
 
 class TestCorpusSource:
