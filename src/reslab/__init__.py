@@ -62,7 +62,6 @@ from .patterns import (
     find_induced,
     gen_f_member,
     has_p5_star,
-    is_family_free,
     path,
 )
 from .verify import (

@@ -52,28 +52,6 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
 
     @classmethod
-    def from_bitmasks(cls, adj: Iterable[int]) -> "Graph":
-        """Build from per-vertex neighbor masks, validating symmetry."""
-        masks = tuple(adj)
-        n = len(masks)
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        full = (1 << n) - 1
-        for v, m in enumerate(masks):
-            if m & ~full:
-                raise ValueError(f"mask of vertex {v} mentions vertices >= {n}")
-            if m >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-        for v, m in enumerate(masks):
-            rest = m
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if not masks[b.bit_length() - 1] >> v & 1:
-                    raise ValueError(f"asymmetric edge ({v},{b.bit_length() - 1})")
-        return cls._make(n, masks)
-
-    @classmethod
     def _make(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         # fast path for internal callers that guarantee a valid adjacency
         g = object.__new__(cls)
@@ -91,6 +69,10 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _make, not the refused __setattr__
+        return Graph._make, (self.n, self.adj)
 
     def __eq__(self, other):
         return (
@@ -119,11 +101,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
-            rest = self.adj[v] >> (v + 1)
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                yield (v, v + 1 + b.bit_length() - 1)
+            for w in _bits(self.adj[v] >> (v + 1)):
+                yield (v, v + 1 + w)
 
     @property
     def edge_count(self) -> int:
@@ -138,13 +117,16 @@ class Graph:
         return out
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, as indices, lowest first."""
     while mask:
         b = mask & -mask
         mask ^= b
-        out.append(b.bit_length() - 1)
-    return frozenset(out)
+        yield b.bit_length() - 1
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
 
 
 def complement(g: Graph) -> Graph:
@@ -160,11 +142,7 @@ def induced(g: Graph, keep: Iterable[int]) -> Graph:
     pos = {v: i for i, v in enumerate(kept)}
     adj = [0] * len(kept)
     for i, v in enumerate(kept):
-        rest = g.adj[v]
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            w = b.bit_length() - 1
+        for w in _bits(g.adj[v]):
             j = pos.get(w)
             if j is not None:
                 adj[i] |= 1 << j
@@ -248,11 +226,8 @@ def canonical_form(g: Graph) -> bytes:
     if mask:
         for table in _perm_edge_tables(g.n):
             out = 0
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                out |= 1 << table[b.bit_length() - 1]
+            for b in _bits(mask):
+                out |= 1 << table[b]
             if out < best:
                 best = out
     width = (len(pair_order(g.n)) + 7) // 8

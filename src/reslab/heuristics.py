@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, _mask_to_set
+from .graphs import Graph, _bits, _mask_to_set
 
 MAXINE_ALL_CAP = 32
 
@@ -158,13 +158,7 @@ def maxine_run(g: Graph, policy: str = "low", seed: int = 0) -> MaxineOutcome:
         elif policy == "high":
             v = cands.bit_length() - 1
         else:
-            choices = []
-            c = cands
-            while c:
-                b = c & -c
-                c ^= b
-                choices.append(b.bit_length() - 1)
-            v = rng.choice(choices)
+            v = rng.choice(list(_bits(cands)))
         deletions.append(v)
         mask ^= 1 << v
     return MaxineOutcome(tuple(deletions), _mask_to_set(mask))
@@ -296,11 +290,8 @@ def maxine_hh_sizes(g: Graph, cap: int = MAXINE_ALL_CAP) -> frozenset[int]:
             out = 1 << mask.bit_count()
         else:
             out = 0
-            c = _hh_vertices_mask(adj, mask)
-            while c:
-                b = c & -c
-                c ^= b
-                out |= rec(mask ^ b)
+            for v in _bits(_hh_vertices_mask(adj, mask)):
+                out |= rec(mask ^ 1 << v)
         memo[mask] = out
         return out
 

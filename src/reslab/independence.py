@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _mask_to_set, induced
+from .graphs import Graph, _bits, _mask_to_set, induced
 
 ALL_MIS_CAP = 32
 
@@ -191,13 +191,9 @@ def _prune_keep(g: Graph, v: int) -> frozenset[int]:
     changed = True
     while changed:
         changed = False
-        m = keep & g.adj[v]
-        while m:
-            b = m & -m
-            m ^= b
-            x = b.bit_length() - 1
+        for x in _bits(keep & g.adj[v]):
             if not g.adj[x] & iprime_mask:
-                keep ^= b
+                keep ^= 1 << x
                 changed = True
     return _mask_to_set(keep)
 
@@ -282,11 +278,7 @@ def partition_neighborhood(g: Graph, v: int) -> NeighborhoodPartition:
     iprime = iset - {v}
     k = len(iset)
     buckets: list[list[int]] = [[] for _ in range(max(k - 1, 0))]
-    m = nbrs
-    while m:
-        b = m & -m
-        m ^= b
-        x = b.bit_length() - 1
+    for x in _bits(nbrs):
         c = (g.adj[x] & iprime_mask).bit_count()
         if c == 0:
             raise ValueError(

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Graph, _bits, to_graph6
 from .independence import _mdi_mask, alpha, mdi_vertices
 
 ROLE_V = "v"
@@ -237,21 +237,6 @@ def _catalog_cached(max_vertices: int) -> tuple[FMember, ...]:
     return tuple(out)
 
 
-def parse_member(text: str) -> tuple[Graph, dict[str, object]]:
-    """Inverse of FMember.serialize: graph plus parsed role fields."""
-    record, _, rolepart = text.strip().partition(" ")
-    g = from_graph6(record)
-    fields: dict[str, object] = {}
-    if rolepart:
-        for item in rolepart.split(";"):
-            key, _, val = item.partition("=")
-            if key in ("v", "u", "w"):
-                fields[key] = int(val)
-            else:
-                fields[key] = tuple(int(t) for t in val.split(",") if t)
-    return g, fields
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Injective induced embedding; mapping[i] = host vertex of pattern i."""
@@ -368,16 +353,4 @@ _P5 = path(5)
 
 def _has_p5_star(g: Graph, mdi: int) -> bool:
     """has_p5_star with the MDI vertices of g given as a bitmask."""
-    while mdi:
-        b = mdi & -mdi
-        mdi ^= b
-        if find_induced(g, _P5, anchor={2: b.bit_length() - 1}) is not None:
-            return True
-    return False
-
-
-def is_family_free(g: Graph, patterns: Iterable[Graph]) -> bool:
-    """True when none of the patterns occurs as an induced subgraph."""
-    return all(
-        find_induced(g, pat) is None for pat in patterns if pat.n <= g.n
-    )
+    return any(find_induced(g, _P5, anchor={2: v}) is not None for v in _bits(mdi))

@@ -16,7 +16,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import Pool
 from operator import getitem
 
@@ -25,11 +25,11 @@ from .degseq import hh_realization, residue_seq
 from .graphs import (
     ENUM_CAP,
     Graph,
+    _bits,
     _pairs,
     _perm_edge_tables,
     degree_sequence,
     from_graph6,
-    pair_order,
     to_graph6,
 )
 from .heuristics import (
@@ -222,13 +222,6 @@ def _passfail(ok: bool) -> Verdict:
     return Verdict.PASS if ok else Verdict.FAIL
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
 def _is_clique(g: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(g.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
@@ -365,6 +358,9 @@ def check_one(g: Graph, check: CheckId | str) -> Verdict:
     return _CHECKS[CheckId(check)](GraphFacts(g))
 
 
+# Each source splits itself into picklable chunks, chunks(shards), and
+# iterates the facts of one chunk, facts(chunk, skipped), appending
+# (lineno, message) to `skipped` for each record it has to pass over.
 @dataclass(frozen=True)
 class EnumerationSource:
     """All labeled graphs on n vertices, edge-mask counting order."""
@@ -380,6 +376,12 @@ class EnumerationSource:
     def describe(self) -> str:
         return f"enumeration(n={self.n})"
 
+    def chunks(self, shards: int) -> list[tuple[int, int]]:
+        return _spans(1 << len(_pairs(self.n)), shards)
+
+    def facts(self, chunk: tuple[int, int], skipped: list):
+        return _layer_facts(self.n, *chunk)
+
 
 @dataclass(frozen=True)
 class CorpusSource:
@@ -389,6 +391,27 @@ class CorpusSource:
 
     def describe(self) -> str:
         return f"corpus({self.path})"
+
+    def chunks(self, shards: int) -> list[list[tuple[int, str]]]:
+        # records are validated where they are decoded, in facts()
+        records = _read_corpus(self.path)
+        return [records[lo:hi] for lo, hi in _spans(len(records), shards)]
+
+    def facts(self, chunk: list[tuple[int, str]], skipped: list):
+        return map(GraphFacts, _decode(chunk, skipped))
+
+
+_SOURCES = (EnumerationSource, CorpusSource)
+# at most this many chunks per scan, whatever the shard count asked for
+_MAX_CHUNKS = 4096
+
+
+def _spans(total: int, shards: int) -> list[tuple[int, int]]:
+    """Split 0..total-1 into at most `shards` (and _MAX_CHUNKS) contiguous
+    spans of equal length but the last; one empty span when total is 0."""
+    shards = max(1, min(shards, total, _MAX_CHUNKS))
+    step = max(1, -(-total // shards))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] or [(0, 0)]
 
 
 @dataclass(frozen=True)
@@ -441,14 +464,6 @@ def _decode(records, skipped: list):
             skipped.append((lineno, f"{g.n} vertices, limit {MAXINE_ALL_CAP}"))
             continue
         yield g
-
-
-def _warn_skipped(path: str, skipped) -> None:
-    for lineno, message in skipped:
-        print(
-            f"warning: {path}:{lineno}: skipping record: {message}",
-            file=sys.stderr,
-        )
 
 
 # Labeled scans: each graph's facts are read from tables over the labeled
@@ -701,18 +716,13 @@ def _layer_facts(n: int, lo: int, hi: int):
                 yield _LayerFacts(n, 0, *edgeless, degclass, high_subs, packed)
 
 
-def _scan_chunk(payload):
-    kind, data, check_values = payload
-    checks = [CheckId(c) for c in check_values]
+def _scan_chunk(source, chunk, checks, stop_after=None):
+    """Scan one chunk; stop early once a check has `stop_after` failures."""
     applicable = {c: 0 for c in checks}
     fails: dict[CheckId, list[str]] = {c: [] for c in checks}
     skipped: list[tuple[int, str]] = []
     scanned = 0
-    if kind == "enum":
-        facts_of = _layer_facts(*data)
-    else:
-        facts_of = map(GraphFacts, _decode(data, skipped))
-    for facts in facts_of:
+    for facts in source.facts(chunk, skipped):
         scanned += 1
         for c in checks:
             verdict = _CHECKS[c](facts)
@@ -721,31 +731,31 @@ def _scan_chunk(payload):
             applicable[c] += 1
             if verdict is Verdict.FAIL:
                 fails[c].append(to_graph6(facts.graph))
+                if len(fails[c]) == stop_after:
+                    return scanned, applicable, fails, skipped
     return scanned, applicable, fails, skipped
 
 
-def _chunk_payloads(source, checks, shards: int):
-    values = [c.value for c in checks]
-    payloads = []
-    if isinstance(source, EnumerationSource):
-        total = 1 << len(pair_order(source.n))
-        shards = max(1, min(shards, total))
-        step = (total + shards - 1) // shards
-        for lo in range(0, total, step):
-            payloads.append(("enum", (source.n, lo, min(lo + step, total)), values))
-    elif isinstance(source, CorpusSource):
-        # records are validated where they are decoded, in _scan_chunk
-        records = _read_corpus(source.path)
-        if not records:
-            payloads.append(("corpus", [], values))
-        else:
-            shards = max(1, min(shards, len(records)))
-            step = (len(records) + shards - 1) // shards
-            for lo in range(0, len(records), step):
-                payloads.append(("corpus", records[lo : lo + step], values))
-    else:
+def _scan(source, checks, shards: int, stop_after=None):
+    """Per-chunk results of scanning `source`, plus every skipped record,
+    which is also warned about on stderr."""
+    if not isinstance(source, _SOURCES):
         raise TypeError(f"unknown source {source!r}")
-    return payloads
+    chunks = source.chunks(shards)
+    if len(chunks) == 1:
+        partials = [_scan_chunk(source, chunks[0], checks, stop_after)]
+    else:
+        # shards are chunks of work; never more processes than cores
+        scan = partial(_scan_chunk, source, checks=checks, stop_after=stop_after)
+        with Pool(processes=min(len(chunks), os.cpu_count() or 1)) as pool:
+            partials = pool.map(scan, chunks)
+    bad = [entry for p in partials for entry in p[3]]
+    for lineno, message in bad:  # only corpus records are ever skipped
+        print(
+            f"warning: {source.path}:{lineno}: skipping record: {message}",
+            file=sys.stderr,
+        )
+    return partials, bad
 
 
 def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
@@ -757,23 +767,13 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
     whatever the shard count.
     """
     check_list = [CheckId(c) for c in checks]
-    workers = os.cpu_count() or 1
     if shards is None:
-        shards = workers
+        shards = os.cpu_count() or 1
     if shards < 1:
         raise ValueError("shards must be >= 1")
     t0 = time.perf_counter()
-    payloads = _chunk_payloads(source, check_list, shards)
-    if len(payloads) == 1:
-        partials = [_scan_chunk(payloads[0])]
-    else:
-        # shards are chunks of work; never more processes than cores
-        with Pool(processes=min(len(payloads), workers)) as pool:
-            partials = pool.map(_scan_chunk, payloads)
+    partials, bad = _scan(source, check_list, shards)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-    bad = [entry for p in partials for entry in p[3]]
-    if bad:
-        _warn_skipped(source.path, bad)
     reports = []
     for c in check_list:
         scanned = sum(p[0] for p in partials)
@@ -796,22 +796,13 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
 
 
 def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:
-    """First `stop_after` failing graphs in deterministic scan order."""
+    """First `stop_after` failing graphs in deterministic scan order.
+
+    Corpus records are decoded as the scan reaches them, so a hunt that
+    stops early warns only about the malformed records it has read.
+    """
     cid = CheckId(check)
     if stop_after < 1:
         raise ValueError("stop_after must be >= 1")
-    found: list[str] = []
-    if isinstance(source, EnumerationSource):
-        facts_of = _all_masks(source.n)
-    elif isinstance(source, CorpusSource):
-        bad: list[tuple[int, str]] = []
-        facts_of = map(GraphFacts, list(_decode(_read_corpus(source.path), bad)))
-        _warn_skipped(source.path, bad)
-    else:
-        raise TypeError(f"unknown source {source!r}")
-    for facts in facts_of:
-        if _CHECKS[cid](facts) is Verdict.FAIL:
-            found.append(to_graph6(facts.graph))
-            if len(found) >= stop_after:
-                break
-    return found
+    (part,), _ = _scan(source, [cid], 1, stop_after)
+    return part[2][cid]

@@ -1,5 +1,8 @@
 """Graph container, enumeration/canonicalization, and the graph6 codec."""
 
+import copy
+import pickle
+
 import pytest
 
 import oracles
@@ -54,6 +57,20 @@ class TestGraphBasics:
             K3._hash = 0
         assert hash(K3) == hash(Graph(3, [(0, 1), (0, 2), (1, 2)]))
 
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickle_and_copy(self, clone):
+        for g in (Graph(0), Graph(3, [(0, 1)]), P5):
+            h = clone(g)
+            assert type(h) is Graph and h == g and hash(h) == hash(g)
+            assert (h.n, h.adj) == (g.n, g.adj)
+            with pytest.raises(AttributeError):
+                h._hash = 0
+            assert hash(h) == hash(g)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 0)])
@@ -63,17 +80,6 @@ class TestGraphBasics:
             Graph(63)
         with pytest.raises(ValueError):
             Graph(-1)
-
-    def test_from_bitmasks_validation(self):
-        assert Graph.from_bitmasks([0b010, 0b101, 0b010]) == Graph(
-            3, [(0, 1), (1, 2)]
-        )
-        with pytest.raises(ValueError):
-            Graph.from_bitmasks([0b010, 0b000, 0b000])  # asymmetric
-        with pytest.raises(ValueError):
-            Graph.from_bitmasks([0b001, 0b000, 0b000])  # loop at 0
-        with pytest.raises(ValueError):
-            Graph.from_bitmasks([0b1000, 0b0000, 0b0000])  # mask out of range
 
     def test_mask_roundtrip(self):
         for g in enumerate_labeled(4):

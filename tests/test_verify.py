@@ -1,6 +1,7 @@
 """Check semantics, scanning, sharding determinism, and report schema."""
 
 import json
+import os
 import random
 
 import pytest
@@ -26,6 +27,7 @@ K3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
 FORK = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])  # no HH vertex
 
 ALL_CHECKS = list(CheckId)
+CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 THEOREM_CHECKS = [c for c in ALL_CHECKS if c is not CheckId.F_MEMBERS_ARE_MDI]
 
 
@@ -215,6 +217,20 @@ class TestRunSuite:
         run_suite(EnumerationSource(5), checks)  # default: one shard per core
         assert opened == [3, 3]
 
+    def test_absurd_shard_count_capped(self, monkeypatch):
+        # one chunk per graph would be 2**21 payloads at n = 7
+        chunks = EnumerationSource(7).chunks(10**9)
+        assert 1024 <= len(chunks) <= 4096
+        assert chunks[0][0] == 0 and chunks[-1][1] == 1 << 21
+        assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(chunks, chunks[1:]))
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        base = run_suite(EnumerationSource(4), ALL_CHECKS, shards=1)
+        got = run_suite(EnumerationSource(4), ALL_CHECKS, shards=10**9)
+        for a, b in zip(base, got):
+            da, db = a.to_dict(), b.to_dict()
+            da.pop("elapsed_ms"), db.pop("elapsed_ms")
+            assert da == db
+
     def test_unknown_source(self):
         with pytest.raises(TypeError):
             run_suite(object(), [CheckId.THM2_SANDWICH], shards=1)
@@ -391,6 +407,32 @@ class TestCorpusSource:
         p = self.make_corpus(tmp_path, [""])
         (rep,) = run_suite(CorpusSource(p), [CheckId.THM2_SANDWICH], shards=4)
         assert rep.scanned == 0 and rep.applicable == 0
+
+
+class TestRelabeling:
+    def test_verdicts_survive_relabeling(self):
+        """Corpus scans see one labeling per class, so a verdict must not
+        depend on it.  The one exception is where the guided run of
+        hh_deletion_gives_residue strands: it breaks ties by lowest id, so
+        another labeling may complete it (NOT_APPLICABLE becomes PASS)."""
+        hh = CheckId.HH_DELETION_GIVES_RESIDUE
+
+        def verdicts(g):
+            facts = verify.GraphFacts(g)
+            return {c: verify._CHECKS[c](facts) for c in CheckId}
+
+        rng = random.Random(8)
+        with open(CORPUS8) as fh:
+            records = [line.strip() for line in fh if line.strip()]
+        for record in rng.sample(records, 400):
+            g = from_graph6(record)
+            base = verdicts(g)
+            for _ in range(3):
+                perm = rng.sample(range(g.n), g.n)
+                got = verdicts(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+                assert Verdict.FAIL not in (base[hh], got[hh]), record
+                got[hh] = base[hh]
+                assert got == base, (record, perm)
 
 
 class TestReportSchema:
