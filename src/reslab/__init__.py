@@ -2,6 +2,8 @@
 independence tools, a forbidden-structure catalog, and an exhaustive
 verification harness over small graphs and graph6 corpora."""
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .degseq import (
     HHTrace,
@@ -41,11 +43,9 @@ from .heuristics import (
 )
 from .independence import (
     MISReport,
-    NeighborhoodPartition,
     all_mis,
     alpha,
     mdi_vertices,
-    partition_neighborhood,
     prune_outside,
     reduce_to_unique_mis,
     reduction_pipeline,
@@ -75,4 +75,9 @@ from .verify import (
     run_suite,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by their own import; they are not exports
+__all__ = [
+    name
+    for name, obj in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+]

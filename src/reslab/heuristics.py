@@ -91,8 +91,9 @@ def max_degree_vertices(g: Graph) -> frozenset[int]:
     return _mask_to_set(cands)
 
 
-def _hh_vertices_mask(adj, mask: int) -> int:
-    """Bitmask of max-degree vertices whose neighbor degrees dominate.
+def _hh_vertices_mask(adj, mask: int) -> tuple[int, int]:
+    """(max degree, bitmask of max-degree vertices whose neighbor degrees
+    dominate) within `mask`.
 
     A vertex qualifies when, inside `mask`, it has maximum degree and the
     smallest degree over its neighbors is >= the largest degree over the
@@ -100,6 +101,8 @@ def _hh_vertices_mask(adj, mask: int) -> int:
     Havel-Hakimi elimination step on the degree sequence.
     """
     best, cands = _max_degree_mask(adj, mask)
+    if best <= 0:
+        return best, cands  # edgeless: every vertex qualifies
     out = 0
     c = cands
     while c:
@@ -126,14 +129,14 @@ def _hh_vertices_mask(adj, mask: int) -> int:
                 hi = d
         if not nbrs or lo >= hi:
             out |= b
-    return out
+    return best, out
 
 
 def hh_property_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose deletion mirrors a Havel-Hakimi step; may be empty."""
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    return _mask_to_set(_hh_vertices_mask(g.adj, (1 << g.n) - 1))
+    return _mask_to_set(_hh_vertices_mask(g.adj, (1 << g.n) - 1)[1])
 
 
 def maxine_run(g: Graph, policy: str = "low", seed: int = 0) -> MaxineOutcome:
@@ -257,10 +260,9 @@ def maxine_hh(g: Graph) -> MaxineOutcome:
     deletions = []
     step = 0
     while mask:
-        best, _ = _max_degree_mask(adj, mask)
+        best, hh = _hh_vertices_mask(adj, mask)
         if best == 0:
             break
-        hh = _hh_vertices_mask(adj, mask)
         if not hh:
             raise NoHHVertexError("no degree-dominating vertex available", step)
         v = (hh & -hh).bit_length() - 1
@@ -285,12 +287,12 @@ def maxine_hh_sizes(g: Graph, cap: int = MAXINE_ALL_CAP) -> frozenset[int]:
         out = memo.get(mask)
         if out is not None:
             return out
-        best, _ = _max_degree_mask(adj, mask)
+        best, hh = _hh_vertices_mask(adj, mask)
         if best <= 0:
             out = 1 << mask.bit_count()
         else:
             out = 0
-            for v in _bits(_hh_vertices_mask(adj, mask)):
+            for v in _bits(hh):
                 out |= rec(mask ^ 1 << v)
         memo[mask] = out
         return out

@@ -112,8 +112,7 @@ class MISReport:
 def all_mis(g: Graph, cap: int = ALL_MIS_CAP) -> MISReport:
     """Enumerate every maximum independent set."""
     a, masks = _all_mis_masks(g, cap)
-    sets = tuple(_mask_to_set(m) for m in masks)
-    return MISReport(a, tuple(sorted(sets, key=sorted)))
+    return MISReport(a, tuple(map(_mask_to_set, masks)))
 
 
 def _mdi_mask(adj, n: int, a: int) -> int:
@@ -141,17 +140,26 @@ def mdi_vertices(g: Graph) -> frozenset[int]:
     return _mask_to_set(_mdi_mask(g.adj, g.n, alpha(g)))
 
 
-def _unique_mis_keep(g: Graph, v: int) -> frozenset[int]:
-    """Vertices kept by the collapse to a single maximum independent set."""
-    report = all_mis(g)
-    mdi = _mdi_mask(g.adj, g.n, report.alpha)
-    if not mdi >> v & 1:
+def _require_mdi(g: Graph, v: int, common: int) -> None:
+    """Raise unless v has maximum degree and lies in `common`, the
+    intersection of every maximum independent set."""
+    if not common >> v & 1 or g.adj[v].bit_count() != max(map(int.bit_count, g.adj)):
         raise ValueError(
             f"vertex {v} is not a max-degree vertex lying in every maximum independent set"
         )
-    keep_set = report.sets[0]  # lexicographically least maximum independent set
-    drop = frozenset().union(*report.sets) - keep_set
-    return frozenset(range(g.n)) - drop
+
+
+def _unique_mis_keep(g: Graph, v: int) -> int:
+    """Vertices kept by the collapse to a single maximum independent set:
+    all but those in some maximum independent set other than the
+    lexicographically least one (the first mask)."""
+    _, masks = _all_mis_masks(g)
+    common = union = masks[0]
+    for m in masks:
+        common &= m
+        union |= m
+    _require_mdi(g, v, common)
+    return ((1 << g.n) - 1) & ~(union ^ masks[0])
 
 
 def reduce_to_unique_mis(g: Graph, v: int) -> Graph:
@@ -162,7 +170,7 @@ def reduce_to_unique_mis(g: Graph, v: int) -> Graph:
     degree, maximum-degree status and membership.  Vertices are relabeled
     densely; track positions via sorted kept order if needed.
     """
-    return induced(g, _unique_mis_keep(g, v))
+    return induced(g, _bits(_unique_mis_keep(g, v)))
 
 
 def _unique_mis_mask(g: Graph, v: int) -> int:
@@ -174,117 +182,29 @@ def _unique_mis_mask(g: Graph, v: int) -> int:
     _, masks = _all_mis_masks(g)
     if len(masks) != 1:
         raise ValueError("graph does not have a unique maximum independent set")
-    iset = masks[0]
-    if not iset >> v & 1 or g.degree(v) != max(g.degree(u) for u in range(g.n)):
-        raise ValueError(
-            f"vertex {v} is not a max-degree vertex lying in every maximum independent set"
-        )
-    return iset
+    _require_mdi(g, v, masks[0])
+    return masks[0]
 
 
-def _prune_keep(g: Graph, v: int) -> frozenset[int]:
-    iset = _unique_mis_mask(g, v)
-    iprime_mask = iset & ~(1 << v)
-    keep = g.adj[v] | iset
-    # drop neighbors with no neighbor inside the independent set minus v,
-    # repeatedly (each would re-seat the set elsewhere, so they are dead)
-    changed = True
-    while changed:
-        changed = False
-        for x in _bits(keep & g.adj[v]):
-            if not g.adj[x] & iprime_mask:
-                keep ^= 1 << x
-                changed = True
-    return _mask_to_set(keep)
+def _prune_keep(g: Graph, v: int) -> int:
+    """N[v] union the unique maximum independent set, as a bitmask."""
+    return g.adj[v] | _unique_mis_mask(g, v)
 
 
 def prune_outside(g: Graph, v: int) -> Graph:
     """Cut down to the closed neighborhood of v union its independent set.
 
-    Requires a unique maximum independent set containing max-degree v.
-    Also discards neighbors of v with no neighbor in the rest of the set,
-    iterated to a fixed point (vacuous when the set is truly unique, kept
-    for parity with the construction this mirrors).
+    Requires a unique maximum independent set I containing max-degree v.
+    Every neighbor x of v then has a neighbor in I - v, since otherwise
+    (I - v) + x would be a second maximum independent set.
     """
-    return induced(g, _prune_keep(g, v))
+    return induced(g, _bits(_prune_keep(g, v)))
 
 
 def reduction_pipeline(g: Graph, v: int) -> tuple[Graph, int]:
     """reduce_to_unique_mis then prune_outside, tracking where v lands."""
-    keep1 = sorted(_unique_mis_keep(g, v))
-    g1 = induced(g, keep1)
-    v1 = keep1.index(v)
-    keep2 = sorted(_prune_keep(g1, v1))
-    g2 = induced(g1, keep2)
-    return g2, keep2.index(v1)
-
-
-@dataclass(frozen=True)
-class NeighborhoodPartition:
-    """Classes of N(center) by how many set members (besides center) they touch.
-
-    classes[i] holds the neighbors adjacent to exactly i+1 members of
-    iprime = iset - {center}.  With alpha = 3, iprime is a pair {u, w}
-    (u the lower id): q_u / q_w are the one-sided neighbors, n_both the
-    two-sided ones, q their union (classes[0]).
-    """
-
-    graph: Graph
-    center: int
-    iset: frozenset[int]
-    iprime: frozenset[int]
-    classes: tuple[frozenset[int], ...]
-
-    def _uw(self) -> tuple[int, int]:
-        if len(self.iprime) != 2:
-            raise ValueError("q_u / q_w / n_both need alpha = 3")
-        u, w = sorted(self.iprime)
-        return u, w
-
-    @property
-    def q(self) -> frozenset[int]:
-        return self.classes[0] if self.classes else frozenset()
-
-    @property
-    def q_u(self) -> frozenset[int]:
-        u, _ = self._uw()
-        return frozenset(x for x in self.q if self.graph.has_edge(x, u))
-
-    @property
-    def q_w(self) -> frozenset[int]:
-        _, w = self._uw()
-        return frozenset(x for x in self.q if self.graph.has_edge(x, w))
-
-    @property
-    def n_both(self) -> frozenset[int]:
-        self._uw()
-        return self.classes[1]
-
-
-def partition_neighborhood(g: Graph, v: int) -> NeighborhoodPartition:
-    """Split N(v) by adjacency count into iset - {v}.
-
-    Expects the output of the two reductions: unique maximum independent
-    set containing max-degree v, every vertex in N(v) union the set, and
-    every neighbor touching the set somewhere besides v.
-    """
-    iset_mask = _unique_mis_mask(g, v)
-    nbrs = g.adj[v]
-    outside = ((1 << g.n) - 1) & ~nbrs & ~iset_mask
-    if outside:
-        raise ValueError("graph has vertices outside N(v) and the independent set")
-    iprime_mask = iset_mask & ~(1 << v)
-    iset = _mask_to_set(iset_mask)
-    iprime = iset - {v}
-    k = len(iset)
-    buckets: list[list[int]] = [[] for _ in range(max(k - 1, 0))]
-    for x in _bits(nbrs):
-        c = (g.adj[x] & iprime_mask).bit_count()
-        if c == 0:
-            raise ValueError(
-                f"neighbor {x} touches the independent set only at {v}; prune first"
-            )
-        buckets[c - 1].append(x)
-    return NeighborhoodPartition(
-        g, v, iset, iprime, tuple(frozenset(b) for b in buckets)
-    )
+    keep = _unique_mis_keep(g, v)
+    g1 = induced(g, _bits(keep))
+    v1 = (keep & ((1 << v) - 1)).bit_count()
+    keep = _prune_keep(g1, v1)
+    return induced(g1, _bits(keep)), (keep & ((1 << v1) - 1)).bit_count()

@@ -44,8 +44,6 @@ from .independence import (
     _alpha_mask,
     _mdi_mask,
     _unique_mis_mask,
-    all_mis,
-    partition_neighborhood,
     reduction_pipeline,
 )
 from .patterns import _P5, _has_p5_star, cycle, f_catalog, find_induced
@@ -101,7 +99,7 @@ def _sequence_realization_has_hh_vertex(seq: tuple[int, ...]) -> bool:
     g = hh_realization(seq)
     if g.n == 0:
         return False
-    return bool(_hh_vertices_mask(g.adj, (1 << g.n) - 1))
+    return bool(_hh_vertices_mask(g.adj, (1 << g.n) - 1)[1])
 
 
 @lru_cache(maxsize=64)
@@ -134,7 +132,7 @@ class GraphFacts:
         self.graph = g
         self._patterns: dict[Graph, bool] = {}
         self._members: dict[bool, bool] = {}
-        self._pipelines: dict[int, tuple[Graph, int]] = {}
+        self._pipelines: dict[int, tuple[Graph, int, int]] = {}
 
     @_lazy
     def full_mask(self) -> int:
@@ -210,21 +208,19 @@ class GraphFacts:
             self._members[filtered] = hit
         return hit
 
-    def pipeline(self, v: int) -> tuple[Graph, int]:
+    def pipeline(self, v: int) -> tuple[Graph, int, int]:
+        """(g2, v2, iset): the reduced graph, where v lands in it, and its
+        one maximum independent set as a bitmask; ValueError if the
+        reductions do not leave exactly one such set holding max-degree v2."""
         out = self._pipelines.get(v)
         if out is None:
-            out = reduction_pipeline(self.graph, v)
-            self._pipelines[v] = out
+            g2, v2 = reduction_pipeline(self.graph, v)
+            out = self._pipelines[v] = (g2, v2, _unique_mis_mask(g2, v2))
         return out
 
 
 def _passfail(ok: bool) -> Verdict:
     return Verdict.PASS if ok else Verdict.FAIL
-
-
-def _is_clique(g: Graph, vertices) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
 
 
 def _ck_thm1(f: GraphFacts) -> Verdict:
@@ -265,7 +261,7 @@ def _ck_lemma_reductions(f: GraphFacts) -> Verdict:
     for v in _bits(f.mdi_mask):
         # with a unique MIS, lying in every MIS means lying in that one
         try:
-            _unique_mis_mask(*f.pipeline(v))
+            f.pipeline(v)
         except ValueError:
             if f.n > ALL_MIS_CAP:
                 raise  # too large to reduce, not a counterexample
@@ -283,24 +279,24 @@ def _ck_q_cliques(f: GraphFacts) -> Verdict:
     if not f.mdi_mask or f.alpha != 3 or f.p5_star:
         return Verdict.NOT_APPLICABLE
     for v in _bits(f.mdi_mask):
-        g2, v2 = f.pipeline(v)
-        part = partition_neighborhood(g2, v2)
-        if not (
-            _is_clique(g2, part.q_u)
-            and _is_clique(g2, part.q_w)
-            and _is_clique(g2, part.q)
-        ):
+        g2, v2, iset = f.pipeline(v)
+        adj = g2.adj
+        u, w = _bits(iset ^ 1 << v2)
+        # the neighbours of v2 that see exactly one of u, w; the one-sided
+        # classes q_u and q_w lie inside q, so q being a clique settles all three
+        q = adj[v2] & (adj[u] ^ adj[w])
+        if any(q & ~adj[x] != 1 << x for x in _bits(q)):
             return Verdict.FAIL
     return Verdict.PASS
 
 
-def _anchored_member_found(g2: Graph, v2: int) -> bool:
+def _anchored_member_found(g2: Graph, v2: int, iset: int) -> bool:
     """Locate a catalog member in the reduced graph with roles pinned:
-    v at the reduced vertex, u/w on the remaining independent pair."""
+    v at the reduced vertex, u/w on the remaining independent pair of
+    `iset`, its maximum independent set."""
     if g2.degree(v2) == 0:
         return True  # nothing around v: the containment claim is vacuous
-    rep = all_mis(g2)
-    others = sorted(rep.sets[0] - {v2})
+    others = list(_bits(iset ^ 1 << v2))
     if len(others) != 2:
         return False
     a, b = others

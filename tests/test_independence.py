@@ -4,12 +4,11 @@ max-degree vertex that lies in every maximum independent set."""
 import pytest
 
 import oracles
-from reslab.graphs import Graph, enumerate_labeled, isomorphism_classes
+from reslab.graphs import Graph, enumerate_labeled, induced, isomorphism_classes
 from reslab.independence import (
     all_mis,
     alpha,
     mdi_vertices,
-    partition_neighborhood,
     prune_outside,
     reduce_to_unique_mis,
     reduction_pipeline,
@@ -101,6 +100,14 @@ class TestReduceToUniqueMIS:
         with pytest.raises(ValueError):
             reduce_to_unique_mis(C4, 0)  # in some but not all sets
 
+    def test_keeps_lexicographically_least_set(self):
+        # the edge 0-2 beside the path 5-1-4-3-6: the sets {0,4,5,6} and
+        # {2,4,5,6} tie, and keeping the least one deletes 2, not 0
+        g = Graph(7, [(0, 2), (1, 4), (1, 5), (3, 4), (3, 6)])
+        assert [sorted(s) for s in all_mis(g).sets] == [[0, 4, 5, 6], [2, 4, 5, 6]]
+        assert reduce_to_unique_mis(g, 4) == induced(g, [0, 1, 3, 4, 5, 6])
+        assert reduce_to_unique_mis(g, 4) != induced(g, [1, 2, 3, 4, 5, 6])
+
     def test_exhaustive_invariants(self):
         for n in range(1, 6):
             for g in enumerate_labeled(n):
@@ -153,52 +160,18 @@ class TestReductionPipeline:
 
 
 class TestPartitionNeighborhood:
-    def test_hand_example(self):
-        # center 0 with set {0,1,2}; neighbor 3 touches 1, neighbor 4
-        # touches 2, neighbor 5 touches both; 3-4 keeps the set unique
-        g = Graph(
-            6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4)]
-        )
-        part = partition_neighborhood(g, 0)
-        assert part.center == 0
-        assert part.iset == {0, 1, 2}
-        assert part.iprime == {1, 2}
-        assert part.q == {3, 4}
-        assert part.q_u == {3}
-        assert part.q_w == {4}
-        assert part.n_both == {5}
-        assert part.classes == (frozenset({3, 4}), frozenset({5}))
-
-    def test_pair_accessors_need_alpha3(self):
-        # a non-edgeless host with alpha <= 2 and a qualifying vertex does
-        # not exist (that is one of the verified statements), so the only
-        # alpha = 2 partitions come from two isolated vertices
-        part = partition_neighborhood(Graph(2), 0)
-        assert part.iprime == {1}
-        assert part.q == frozenset()
-        with pytest.raises(ValueError):
-            part.q_u  # noqa: B018 - property access is the act under test
-        with pytest.raises(ValueError):
-            part.n_both  # noqa: B018
-
-    def test_rejects_multi_mis(self):
-        with pytest.raises(ValueError):
-            partition_neighborhood(C4, 0)
-
-    def test_rejects_outside_vertices(self):
-        with pytest.raises(ValueError):
-            partition_neighborhood(PRUNABLE_HOST, 3)  # vertex 0 not pruned yet
-
     def test_classes_cover_neighborhood(self):
+        # after the reductions every neighbor of v touches the set minus v,
+        # so grouping N(v) by how many of those it touches leaves none out
         for n in (5, 6):
             for m in isomorphism_classes(n):
                 g = Graph.from_mask(n, m)
                 for v in mdi_vertices(g):
                     g2, v2 = reduction_pipeline(g, v)
-                    part = partition_neighborhood(g2, v2)
-                    merged = frozenset().union(*part.classes) if part.classes else frozenset()
-                    assert merged == g2.neighbors(v2)
-                    for i, cls in enumerate(part.classes):
-                        for x in cls:
-                            hits = sum(1 for y in part.iprime if g2.has_edge(x, y))
-                            assert hits == i + 1
+                    (iset,) = all_mis(g2).sets
+                    iprime = iset - {v2}
+                    classes = {}
+                    for x in g2.neighbors(v2):
+                        classes.setdefault(len(g2.neighbors(x) & iprime), set()).add(x)
+                    assert 0 not in classes
+                    assert set().union(*classes.values()) == g2.neighbors(v2)

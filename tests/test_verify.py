@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from reslab import verify
+from reslab import independence, verify
 from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
 from reslab.patterns import cycle, empty, gen_f_member, path
 from reslab.verify import (
@@ -115,6 +115,14 @@ class TestCheckOne:
         # it is excluded rather than reported as a failure
         assert check_one(P5, CheckId.Q_CLIQUES) is Verdict.NOT_APPLICABLE
         assert check_one(C4, CheckId.Q_CLIQUES) is Verdict.NOT_APPLICABLE
+
+    def test_q_cliques_fail_path(self, monkeypatch):
+        # the path u-a-v-b-w, v = 0: its one maximum independent set is
+        # {v, u, w} = {0, 1, 2}, and q = {a, b} = {3, 4} is not a clique
+        reduced = Graph(5, [(1, 3), (3, 0), (0, 4), (4, 2)])
+        monkeypatch.setattr(verify, "reduction_pipeline", lambda g, v: (reduced, 0))
+        c3o = gen_f_member("C", 3, "opposite").graph
+        assert check_one(c3o, CheckId.Q_CLIQUES) is Verdict.FAIL
 
     def test_structure_alpha3(self):
         c3o = gen_f_member("C", 3, "opposite").graph
@@ -341,6 +349,28 @@ class TestLayerTables:
         assert [r.applicable for r in reports] == [32768, 32768, 25198, 14338, 24428]
         assert all(r.counterexamples == () for r in reports)
         assert built == []
+
+    def test_reduction_checks_enumerate_each_stage_once(self, monkeypatch):
+        # the n = 6 scan reduces 1,446 (graph, MDI vertex) pairs; each pair
+        # lists the maximum independent sets of the host, of the first
+        # reduction and of the final graph once, whichever checks read them
+        calls = []
+        all_mis_masks = independence._all_mis_masks
+
+        def counting(g, *args):
+            calls.append(g.n)
+            return all_mis_masks(g, *args)
+
+        monkeypatch.setattr(independence, "_all_mis_masks", counting)
+        checks = [
+            CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI,
+            CheckId.Q_CLIQUES,
+            CheckId.THM_STRUCTURE_ALPHA3,
+        ]
+        reports = run_suite(EnumerationSource(6), checks, shards=1)
+        assert [r.applicable for r in reports] == [1261, 540, 540]
+        assert all(r.counterexamples == () for r in reports)
+        assert len(calls) == 3 * 1446 == 4338
 
 
 class TestCorpusSource:
