@@ -110,10 +110,10 @@ class Graph:
 
     def mask(self) -> int:
         """Edge set encoded as a bitmask over pair_order(n)."""
+        # pair (i, j), i < j, is bit j * (j - 1) // 2 + i: row j below the diagonal
         out = 0
-        for k, (i, j) in enumerate(_pairs(self.n)):
-            if self.adj[i] >> j & 1:
-                out |= 1 << k
+        for j, m in enumerate(self.adj):
+            out |= (m & ((1 << j) - 1)) << (j * (j - 1) // 2)
         return out
 
 

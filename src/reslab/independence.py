@@ -71,15 +71,18 @@ def alpha(g: Graph) -> int:
     return _alpha_mask(g.adj, (1 << g.n) - 1)
 
 
-def _all_mis_masks(g: Graph, cap: int = ALL_MIS_CAP) -> tuple[int, list[int]]:
+def _all_mis_masks(
+    g: Graph, a: int | None, cap: int = ALL_MIS_CAP
+) -> tuple[int, list[int]]:
     """alpha and every maximum independent set, as bitmasks.
 
-    Generated in ascending lexicographic order of the member lists.
+    `a` is alpha of g, worked out here when None.  Generated in ascending
+    lexicographic order of the member lists.
     """
     if g.n > cap:
         raise ValueError(f"all_mis limited to n <= {cap}, got {g.n}")
     adj = g.adj
-    target = alpha(g)
+    target = alpha(g) if a is None else a
     results: list[int] = []
     if target == 0:
         return target, [0]
@@ -111,7 +114,7 @@ class MISReport:
 
 def all_mis(g: Graph, cap: int = ALL_MIS_CAP) -> MISReport:
     """Enumerate every maximum independent set."""
-    a, masks = _all_mis_masks(g, cap)
+    a, masks = _all_mis_masks(g, None, cap)
     return MISReport(a, tuple(map(_mask_to_set, masks)))
 
 
@@ -149,11 +152,11 @@ def _require_mdi(g: Graph, v: int, common: int) -> None:
         )
 
 
-def _unique_mis_keep(g: Graph, v: int) -> int:
+def _unique_mis_keep(g: Graph, v: int, a: int) -> int:
     """Vertices kept by the collapse to a single maximum independent set:
     all but those in some maximum independent set other than the
-    lexicographically least one (the first mask)."""
-    _, masks = _all_mis_masks(g)
+    lexicographically least one (the first mask).  `a` is alpha of g."""
+    _, masks = _all_mis_masks(g, a)
     common = union = masks[0]
     for m in masks:
         common &= m
@@ -170,25 +173,26 @@ def reduce_to_unique_mis(g: Graph, v: int) -> Graph:
     degree, maximum-degree status and membership.  Vertices are relabeled
     densely; track positions via sorted kept order if needed.
     """
-    return induced(g, _bits(_unique_mis_keep(g, v)))
+    return induced(g, _bits(_unique_mis_keep(g, v, alpha(g))))
 
 
-def _unique_mis_mask(g: Graph, v: int) -> int:
-    """The one maximum independent set of g, as a bitmask.
+def _unique_mis_mask(g: Graph, v: int, a: int) -> int:
+    """The one maximum independent set of g, as a bitmask; `a` is alpha
+    of g.
 
     Raises ValueError unless g has exactly one maximum independent set and
     it holds v, a vertex of maximum degree.
     """
-    _, masks = _all_mis_masks(g)
+    _, masks = _all_mis_masks(g, a)
     if len(masks) != 1:
         raise ValueError("graph does not have a unique maximum independent set")
     _require_mdi(g, v, masks[0])
     return masks[0]
 
 
-def _prune_keep(g: Graph, v: int) -> int:
+def _prune_keep(g: Graph, v: int, a: int) -> int:
     """N[v] union the unique maximum independent set, as a bitmask."""
-    return g.adj[v] | _unique_mis_mask(g, v)
+    return g.adj[v] | _unique_mis_mask(g, v, a)
 
 
 def prune_outside(g: Graph, v: int) -> Graph:
@@ -198,13 +202,19 @@ def prune_outside(g: Graph, v: int) -> Graph:
     Every neighbor x of v then has a neighbor in I - v, since otherwise
     (I - v) + x would be a second maximum independent set.
     """
-    return induced(g, _bits(_prune_keep(g, v)))
+    return induced(g, _bits(_prune_keep(g, v, alpha(g))))
 
 
 def reduction_pipeline(g: Graph, v: int) -> tuple[Graph, int]:
     """reduce_to_unique_mis then prune_outside, tracking where v lands."""
-    keep = _unique_mis_keep(g, v)
-    g1 = induced(g, _bits(keep))
-    v1 = (keep & ((1 << v) - 1)).bit_count()
-    keep = _prune_keep(g1, v1)
-    return induced(g1, _bits(keep)), (keep & ((1 << v1) - 1)).bit_count()
+    return _reduction_pipeline(g, v, alpha(g))
+
+
+def _reduction_pipeline(g: Graph, v: int, a: int) -> tuple[Graph, int]:
+    """reduction_pipeline with alpha of g given; both reductions keep it.
+    A stage that keeps every vertex hands on g and v unchanged."""
+    for stage_keep in (_unique_mis_keep, _prune_keep):
+        keep = stage_keep(g, v, a)
+        if keep != (1 << g.n) - 1:
+            g, v = induced(g, _bits(keep)), (keep & ((1 << v) - 1)).bit_count()
+    return g, v

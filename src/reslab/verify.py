@@ -17,6 +17,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice, permutations
 from multiprocessing import Pool
 from operator import getitem
 
@@ -27,7 +28,6 @@ from .graphs import (
     Graph,
     _bits,
     _pairs,
-    _perm_edge_tables,
     degree_sequence,
     from_graph6,
     to_graph6,
@@ -43,8 +43,8 @@ from .independence import (
     ALL_MIS_CAP,
     _alpha_mask,
     _mdi_mask,
+    _reduction_pipeline,
     _unique_mis_mask,
-    reduction_pipeline,
 )
 from .patterns import _P5, _has_p5_star, cycle, f_catalog, find_induced
 
@@ -214,8 +214,9 @@ class GraphFacts:
         reductions do not leave exactly one such set holding max-degree v2."""
         out = self._pipelines.get(v)
         if out is None:
-            g2, v2 = reduction_pipeline(self.graph, v)
-            out = self._pipelines[v] = (g2, v2, _unique_mis_mask(g2, v2))
+            # both reductions keep alpha, so the host's serves every stage
+            g2, v2 = _reduction_pipeline(self.graph, v, self.alpha)
+            out = self._pipelines[v] = (g2, v2, _unique_mis_mask(g2, v2, self.alpha))
         return out
 
 
@@ -388,13 +389,13 @@ class CorpusSource:
     def describe(self) -> str:
         return f"corpus({self.path})"
 
-    def chunks(self, shards: int) -> list[list[tuple[int, str]]]:
-        # records are validated where they are decoded, in facts()
-        records = _read_corpus(self.path)
-        return [records[lo:hi] for lo, hi in _spans(len(records), shards)]
+    def chunks(self, shards: int) -> list[tuple[int, int]]:
+        # spans of record indices; records are read and validated in facts()
+        return _spans(sum(1 for _ in _corpus_records(self.path)), shards)
 
-    def facts(self, chunk: list[tuple[int, str]], skipped: list):
-        return map(GraphFacts, _decode(chunk, skipped))
+    def facts(self, chunk: tuple[int, int], skipped: list):
+        records = islice(_corpus_records(self.path), *chunk)
+        return map(_corpus_facts, _decode(records, skipped))
 
 
 _SOURCES = (EnumerationSource, CorpusSource)
@@ -436,14 +437,13 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _read_corpus(path: str) -> list[tuple[int, str]]:
-    """(lineno, record) for every non-blank line of a file, undecoded."""
+def _corpus_records(path: str):
+    """(lineno, record) for every non-blank line of a file, undecoded,
+    read as the caller iterates."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return [
-            (lineno, text)
-            for lineno, line in enumerate(fh, start=1)
-            if (text := line.strip())
-        ]
+        for lineno, line in enumerate(fh, start=1):
+            if text := line.strip():
+                yield lineno, text
 
 
 def _decode(records, skipped: list):
@@ -474,11 +474,13 @@ def _decode(records, skipped: list):
 #   an induced C4, P5 or catalog member with fewer vertices than G misses
 #   some v, so it lies in G - v; one with as many is a relabeling of G.
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
-# vertex MDI, and a guided run that deletes nothing.
+# vertex MDI, and a guided run that deletes nothing.  Corpus records with
+# at most 8 vertices read C4, P5 and catalog-member presence from the
+# same flag tables, through their 6- and 7-vertex induced subgraphs.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
-# bits of _LayerFacts.flags
+# bits of _FlagFacts.flags
 _C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
 _PATTERN_FLAGS = {_C4: _C4_FLAG, _P5: _P5_FLAG}
 
@@ -578,29 +580,108 @@ def _hh_level(k: int) -> bytearray:
 
 @lru_cache(maxsize=None)
 def _flag_level(k: int) -> bytearray:
-    """_LayerFacts.flags of every labeled k-vertex graph, by edge mask."""
-    return bytearray(f.flags for f in _all_masks(k))
+    """_FlagFacts.flags of every labeled k-vertex graph, by edge mask: the
+    OR of the entries one level down over the deletions G - v, plus the
+    relabeling bit of a pattern with exactly k vertices."""
+    flags = [0] * (1 << len(_pairs(k)))
+    for mask, flag in _relabeled_flags(k).items():
+        flags[mask] = flag
+    if k:
+        below = _flag_level(k - 1)
+        for rows in _chunk_tables(k)[1]:
+            subs = [0]  # becomes the edge mask of G - v for every mask
+            for row in rows:
+                subs = [s | r for r in row for s in subs]
+            flags = [f | below[s] for f, s in zip(flags, subs)]
+    return bytearray(flags)
+
+
+@lru_cache(maxsize=None)
+def _flagged_patterns(k: int) -> tuple[tuple[Graph, int], ...]:
+    """(pattern, flag) of C4, P5 and the catalog members with exactly k
+    vertices; a member is flagged raw and, if it passes its own MDI
+    test, filtered."""
+    members = [
+        (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
+        for m in _catalog_upto(k, False)
+    ]
+    return tuple(pf for pf in [*_PATTERN_FLAGS.items(), *members] if pf[0].n == k)
 
 
 @lru_cache(maxsize=None)
 def _relabeled_flags(k: int) -> dict[int, int]:
     """Flags of the k-vertex edge masks that relabel a flagged pattern
     with exactly k vertices, OR-ed over those patterns."""
-    patterns = list(_PATTERN_FLAGS.items()) + [
-        (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
-        for m in _catalog_upto(k, False)
-    ]
     out: dict[int, int] = {}
-    for pattern, flag in patterns:
-        if pattern.n == k:
-            mask = pattern.mask()
-            for table in _perm_edge_tables(k):
-                image = sum(1 << table[b] for b in _bits(mask))
-                out[image] = out.get(image, 0) | flag
+    for pattern, flag in _flagged_patterns(k):
+        edges = list(pattern.edges())
+        for perm in permutations(range(k)):
+            image = 0
+            for i, j in edges:
+                a, b = perm[i], perm[j]
+                if a > b:
+                    a, b = b, a
+                image |= 1 << (b * (b - 1) // 2 + a)  # pair (a, b) of pair_order
+            out[image] = out.get(image, 0) | flag
     return out
 
 
-class _LayerFacts(GraphFacts):
+def _graph_flags(g: Graph) -> int:
+    """_FlagFacts.flags of a graph with at most 8 vertices, from the
+    tables.  Up to 6 vertices it is the graph's own entry of _flag_level.
+    Otherwise each 7-vertex induced subgraph (G itself, or G - v at 8
+    vertices) gives its relabeling bit, and deleting further only at or
+    above v's position reaches each 6-vertex induced subgraph once.  An
+    8-vertex member can only be a relabeling of G, so it is searched for."""
+    n, mask = g.n, g.mask()
+    if n <= 6:
+        return _flag_level(n)[mask]
+    if n == 7:
+        sevens = [mask]
+    else:
+        # the four 7-bit chunks of the 28-bit mask
+        x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
+        sevens = [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in _chunk_tables(8)[1]]
+    six, seven, sub7 = _flag_level(6), _relabeled_flags(7), _chunk_tables(7)[1]
+    out = 0
+    for v, m in enumerate(sevens):
+        out |= seven.get(m, 0)
+        y0, y1, y2 = m & 127, m >> 7 & 127, m >> 14
+        for a, b, c in sub7[v:]:
+            out |= six[a[y0] | b[y1] | c[y2]]
+    if n == 8 and out & _C4_FLAG:  # every catalog member holds an induced C4
+        for pattern, flag in _flagged_patterns(8):
+            if flag & ~out and find_induced(g, pattern) is not None:
+                out |= flag
+    return out
+
+
+class _FlagFacts(GraphFacts):
+    """GraphFacts of a graph with at most ENUM_CAP vertices, whose C4, P5
+    and catalog-member answers come from one flags byte read from the
+    labeled tables instead of pattern searches."""
+
+    @_lazy
+    def flags(self) -> int:
+        """Which of C4, P5, a filtered catalog member and a raw member
+        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG."""
+        return _graph_flags(self.graph)
+
+    def has_pattern(self, pattern: Graph) -> bool:
+        flag = _PATTERN_FLAGS.get(pattern)
+        if flag is None:
+            return super().has_pattern(pattern)
+        return bool(self.flags & flag)
+
+    def has_member(self, filtered: bool) -> bool:
+        return bool(self.flags & (_MEMBER_FLAG if filtered else _RAW_MEMBER_FLAG))
+
+
+def _corpus_facts(g: Graph) -> GraphFacts:
+    return _FlagFacts(g) if g.n <= ENUM_CAP else GraphFacts(g)
+
+
+class _LayerFacts(_FlagFacts):
     """GraphFacts of a labeled graph given by its edge mask, seeded from
     the tables; `graph` is built only when a check asks for it."""
 
@@ -647,8 +728,6 @@ class _LayerFacts(GraphFacts):
 
     @_lazy
     def flags(self) -> int:
-        """Which of C4, P5, a filtered catalog member and a raw member
-        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG."""
         n = self.n
         out = _relabeled_flags(n).get(self.mask, 0)
         if n:
@@ -657,15 +736,6 @@ class _LayerFacts(GraphFacts):
             for high, sub in zip(self._high_subs, _chunk_tables(n)[1]):
                 out |= table[high | sub[0][x]]
         return out
-
-    def has_pattern(self, pattern: Graph) -> bool:
-        flag = _PATTERN_FLAGS.get(pattern)
-        if flag is None:
-            return super().has_pattern(pattern)
-        return bool(self.flags & flag)
-
-    def has_member(self, filtered: bool) -> bool:
-        return bool(self.flags & (_MEMBER_FLAG if filtered else _RAW_MEMBER_FLAG))
 
 
 def _layer_facts(n: int, lo: int, hi: int):

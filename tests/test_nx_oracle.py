@@ -1,7 +1,9 @@
 """A second oracle, independent of tests/oracles.py: networkx's VF2
-matcher decides the forbidden-structure facts that labeled scans read
-from their layered tables.  Skipped when networkx is not installed."""
+matcher decides the forbidden-structure facts that labeled and corpus
+scans read from their layered tables.  Skipped when networkx is not
+installed."""
 
+import os
 import random
 
 import pytest
@@ -10,8 +12,11 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
 from reslab import verify  # noqa: E402
-from reslab.graphs import pair_order  # noqa: E402
+from reslab.graphs import from_graph6, pair_order  # noqa: E402
 from reslab.patterns import f_catalog  # noqa: E402
+
+
+CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 
 
 def nx_graph(n: int, edges) -> "nx.Graph":
@@ -45,25 +50,42 @@ def catalog(max_vertices: int):
     return out
 
 
+def nx_flags(host, members) -> tuple:
+    """C4, P5, filtered-member and raw-member presence in host."""
+    c4, p5 = nx.cycle_graph(4), nx.path_graph(5)
+    found = [holds_induced(host, m) for m, _ in members]
+    return (
+        holds_induced(host, c4),
+        holds_induced(host, p5),
+        any(hit for hit, (_, mdi) in zip(found, members) if mdi),
+        any(found),
+    )
+
+
+def reslab_flags(f) -> tuple:
+    return (
+        f.has_pattern(verify._C4),
+        f.has_pattern(verify._P5),
+        f.has_member(True),
+        f.has_member(False),
+    )
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_layer_flags_match_networkx(n):
-    c4, p5 = nx.cycle_graph(4), nx.path_graph(5)
     members = catalog(n)
     pairs = pair_order(n)
     for mask in random.Random(1000 + n).sample(range(1 << len(pairs)), 512):
         (f,) = verify._layer_facts(n, mask, mask + 1)
         host = nx_graph(n, (e for k, e in enumerate(pairs) if mask >> k & 1))
-        found = [holds_induced(host, m) for m, _ in members]
-        want = (
-            holds_induced(host, c4),
-            holds_induced(host, p5),
-            any(hit for hit, (_, mdi) in zip(found, members) if mdi),
-            any(found),
-        )
-        got = (
-            f.has_pattern(verify._C4),
-            f.has_pattern(verify._P5),
-            f.has_member(True),
-            f.has_member(False),
-        )
-        assert got == want, (n, mask)
+        assert reslab_flags(f) == nx_flags(host, members), (n, mask)
+
+
+def test_corpus8_flags_match_networkx():
+    members = catalog(8)
+    with open(CORPUS8) as fh:
+        records = [line.strip() for line in fh if line.strip()]
+    for record in random.Random(1008).sample(records, 256):
+        g = from_graph6(record)
+        f = verify._corpus_facts(g)
+        assert reslab_flags(f) == nx_flags(nx_graph(g.n, g.edges()), members), record

@@ -99,7 +99,7 @@ class TestCheckOne:
             check_one(empty(40), CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI)
         # a reduced graph with two maximum independent sets is a
         # counterexample, not an error
-        monkeypatch.setattr(verify, "reduction_pipeline", lambda g, v: (C4, 0))
+        monkeypatch.setattr(verify, "_reduction_pipeline", lambda g, v, a: (C4, 0))
         assert check_one(P5, CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI) is Verdict.FAIL
 
     def test_alpha_le2(self):
@@ -120,7 +120,7 @@ class TestCheckOne:
         # the path u-a-v-b-w, v = 0: its one maximum independent set is
         # {v, u, w} = {0, 1, 2}, and q = {a, b} = {3, 4} is not a clique
         reduced = Graph(5, [(1, 3), (3, 0), (0, 4), (4, 2)])
-        monkeypatch.setattr(verify, "reduction_pipeline", lambda g, v: (reduced, 0))
+        monkeypatch.setattr(verify, "_reduction_pipeline", lambda g, v, a: (reduced, 0))
         c3o = gen_f_member("C", 3, "opposite").graph
         assert check_one(c3o, CheckId.Q_CLIQUES) is Verdict.FAIL
 
@@ -372,6 +372,86 @@ class TestLayerTables:
         assert all(r.counterexamples == () for r in reports)
         assert len(calls) == 3 * 1446 == 4338
 
+    def test_reduction_checks_reuse_alpha_and_skip_copies(self, monkeypatch):
+        # the scan's alpha serves every stage, and at n <= 6 both
+        # reductions keep every vertex, so no stage copies the graph
+        verify._catalog_upto(6, False)  # its members' own MDI tests, once
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(independence, "alpha", counting("alpha", independence.alpha))
+        monkeypatch.setattr(independence, "induced", counting("induced", independence.induced))
+        checks = [
+            CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI,
+            CheckId.Q_CLIQUES,
+            CheckId.THM_STRUCTURE_ALPHA3,
+        ]
+        reports = run_suite(EnumerationSource(6), checks, shards=1)
+        assert [r.applicable for r in reports] == [1261, 540, 540]
+        assert calls == []
+        independence.reduction_pipeline(P5, 2)  # counting works
+        assert calls == ["alpha"]
+
+
+class TestCorpusFlags:
+    """Corpus records with at most 8 vertices read C4, P5 and catalog
+    members from the labeled flag tables; the find_induced searches of
+    GraphFacts are the reference."""
+
+    @staticmethod
+    def flags(f):
+        return (
+            f.has_pattern(C4),
+            f.has_pattern(P5),
+            f.has_member(True),
+            f.has_member(False),
+        )
+
+    def assert_matches_search(self, g):
+        f = verify._corpus_facts(g)
+        assert type(f) is verify._FlagFacts
+        got = self.flags(f)
+        assert got == self.flags(verify.GraphFacts(g)), to_graph6(g)
+        return got
+
+    def test_every_corpus8_record(self):
+        with open(CORPUS8) as fh:
+            graphs = [from_graph6(line) for line in fh if line.strip()]
+        assert len(graphs) == 12346
+        hits = [self.assert_matches_search(g) for g in graphs]
+        # every flag is seen both set and clear
+        assert all(0 < sum(col) < len(hits) for col in zip(*hits))
+
+    def test_every_labeled_graph_up_to_n6_and_sample_n7(self):
+        for n in range(7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                self.assert_matches_search(Graph.from_mask(n, mask))
+        for mask in random.Random(2027).sample(range(1 << 21), 1 << 12):
+            self.assert_matches_search(Graph.from_mask(7, mask))
+
+    def test_relabeled_corpus8_records(self):
+        rng = random.Random(10)
+        with open(CORPUS8) as fh:
+            records = [line.strip() for line in fh if line.strip()]
+        for record in rng.sample(records, 400):
+            g = from_graph6(record)
+            base = self.assert_matches_search(g)
+            for _ in range(3):
+                perm = rng.sample(range(g.n), g.n)
+                h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+                assert self.assert_matches_search(h) == base, (record, perm)
+
+    def test_records_over_eight_vertices_search(self):
+        assert type(verify._corpus_facts(empty(9))) is verify.GraphFacts
+        (rep,) = run_suite(CorpusSource(CORPUS8), [CheckId.THM_BM_C4P5], shards=1)
+        assert rep.applicable == 1267  # the {C4, P5}-free classes on 8 vertices
+
 
 class TestCorpusSource:
     def make_corpus(self, tmp_path, lines):
@@ -437,6 +517,51 @@ class TestCorpusSource:
         p = self.make_corpus(tmp_path, [""])
         (rep,) = run_suite(CorpusSource(p), [CheckId.THM2_SANDWICH], shards=4)
         assert rep.scanned == 0 and rep.applicable == 0
+
+    def test_chunks_are_record_spans(self):
+        source = CorpusSource(CORPUS8)
+        assert source.chunks(1) == [(0, 12346)]
+        assert source.chunks(2) == [(0, 6173), (6173, 12346)]
+        spans = source.chunks(10**9)
+        assert len(spans) <= 4096
+        assert spans[0][0] == 0 and spans[-1][1] == 12346
+        assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(spans, spans[1:]))
+        with open(CORPUS8) as fh:
+            records = [line.strip() for line in fh if line.strip()]
+        for lo, hi in source.chunks(2) + spans[:2] + spans[-2:]:
+            skipped = []
+            got = [to_graph6(f.graph) for f in source.facts((lo, hi), skipped)]
+            assert got == records[lo:hi] and skipped == []
+
+    def test_spans_count_records_not_lines(self, tmp_path, capsys):
+        lines = ["", "Bw", "  ", "bad!", "Cl", to_graph6(empty(40)), "", "D", "DQo"]
+        p = self.make_corpus(tmp_path, lines)
+        source = CorpusSource(p)
+        assert source.chunks(1) == [(0, 6)]
+        assert source.chunks(2) == [(0, 3), (3, 6)]
+        skipped = []
+        got = [to_graph6(f.graph) for f in source.facts((3, 6), skipped)]
+        assert got == ["DQo"]
+        truncated = "record truncated: expected 2 payload bytes, got 0 (byte offset 1)"
+        assert skipped == [(6, "40 vertices, limit 32"), (8, truncated)]
+        checks = [CheckId.THM2_SANDWICH, CheckId.THM_BM_C4P5]
+        outputs = []
+        for shards in (1, 2):
+            dicts = [r.to_dict() for r in run_suite(source, checks, shards=shards)]
+            for d in dicts:
+                d.pop("elapsed_ms")
+            outputs.append((dicts, capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert [line.split(":")[2] for line in outputs[0][1].splitlines()] == ["4", "6", "8"]
+
+    def test_hunt_warns_only_about_records_read(self, tmp_path, capsys):
+        a3 = to_graph6(gen_f_member("A", 3).graph)  # fails f_members_are_mdi
+        p = self.make_corpus(tmp_path, [a3, "bad!", a3])
+        check = CheckId.F_MEMBERS_ARE_MDI
+        assert hunt(CorpusSource(p), check, stop_after=1) == [a3]
+        assert capsys.readouterr().err == ""
+        assert hunt(CorpusSource(p), check, stop_after=2) == [a3, a3]
+        assert ":2: skipping record" in capsys.readouterr().err
 
 
 class TestRelabeling:
