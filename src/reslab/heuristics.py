@@ -20,6 +20,14 @@ S(P_1) = S(P_2) = {1}:
     S(C_k) = S(P_{k-1}),  S(P_k) = U_{i=1..k-2} S(P_i) + S(P_{k-1-i}).
 
 These depend on k alone and are kept in a table grown on demand.
+
+Above degree 2 the sweep takes a whole phase per step.  Let d >= 3 be
+the maximum degree and T the vertices of degree d.  A vertex outside T
+never gains degree, and one of T drops below d once a neighbour goes, so
+the deletions made at degree d form an independent set of G[T], in any
+order, and the phase ends exactly when that set is maximal in G[T]:
+
+    S(G) = U S(G - I)  over the maximal independent sets I of G[T].
 """
 
 from __future__ import annotations
@@ -215,6 +223,32 @@ def _paths_and_cycles_sizes(adj, mask: int, deg2: int) -> int:
     return out
 
 
+def _maximal_independent_sets(adj, p: int, x: int = 0, r: int = 0):
+    """Yield r | D for each independent set D of the graph `adj` induces
+    on p that is maximal there and that no vertex of x could extend.
+
+    Bron-Kerbosch with a pivot, on the complement's cliques: a maximal D
+    holds the pivot u (the lowest vertex of p) or a neighbour of u, else
+    u could join it, so only those start a branch; x collects the
+    vertices already branched on, which later sets must not admit.
+    """
+    if not p & p - 1:
+        # at most one vertex left, which must join: r | p is maximal
+        # unless some vertex of x has no neighbour in p
+        if not x & ~(adj[p.bit_length() - 1] if p else 0):
+            yield r | p
+        return
+    b = p & -p
+    branch = p & adj[b.bit_length() - 1] | b
+    while branch:
+        b = branch & -branch
+        branch ^= b
+        keep = ~(adj[b.bit_length() - 1] | b)
+        yield from _maximal_independent_sets(adj, p & keep, x & keep, r | b)
+        p ^= b
+        x |= b
+
+
 def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
     """Achievable survivor counts from `mask`, encoded as a size bitmask."""
     out = memo.get(mask)
@@ -231,12 +265,11 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
         # paths and cycles: a sumset of table lookups (module docstring)
         out = _paths_and_cycles_sizes(adj, mask, cands)
     else:
+        # one whole phase at degree `best`: delete a maximal independent
+        # set of the max-degree vertices (module docstring)
         out = 0
-        c = cands
-        while c:
-            b = c & -c
-            c ^= b
-            out |= _maxine_sizes_mask(adj, mask ^ b, memo)
+        for d in _maximal_independent_sets(adj, cands):
+            out |= _maxine_sizes_mask(adj, mask ^ d, memo)
     memo[mask] = out
     return out
 

@@ -389,12 +389,17 @@ class CorpusSource:
     def describe(self) -> str:
         return f"corpus({self.path})"
 
-    def chunks(self, shards: int) -> list[tuple[int, int]]:
-        # spans of record indices; records are read and validated in facts()
-        return _spans(sum(1 for _ in _corpus_records(self.path)), shards)
+    def chunks(self, shards: int) -> list[tuple[int, int, int, int]]:
+        """(lo, hi, pos, lineno): records lo..hi-1, read from seek
+        position pos on, whose line is numbered lineno; records are
+        decoded and validated in facts()."""
+        spans = _spans(sum(1 for _ in _corpus_records(self.path)), shards)
+        starts = _seek_points(self.path, [lo for lo, _ in spans])
+        return [(*span, *start) for span, start in zip(spans, starts)]
 
-    def facts(self, chunk: tuple[int, int], skipped: list):
-        records = islice(_corpus_records(self.path), *chunk)
+    def facts(self, chunk: tuple[int, int, int, int], skipped: list):
+        lo, hi, pos, lineno = chunk
+        records = islice(_corpus_records(self.path, pos, lineno), hi - lo)
         return map(_corpus_facts, _decode(records, skipped))
 
 
@@ -437,13 +442,30 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _corpus_records(path: str):
-    """(lineno, record) for every non-blank line of a file, undecoded,
-    read as the caller iterates."""
+def _corpus_records(path: str, pos: int = 0, lineno: int = 1):
+    """(lineno, record) for every non-blank line of a file from seek
+    position pos on, the first numbered lineno, undecoded, read as the
+    caller iterates."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        fh.seek(pos)
+        for lineno, line in enumerate(fh, start=lineno):
             if text := line.strip():
                 yield lineno, text
+
+
+def _seek_points(path: str, starts: list[int]) -> list[tuple[int, int]]:
+    """(seek position, line number) from which record i is the first
+    read, for each record index i of the ascending `starts`; reads the
+    file only up to the last of them, so not at all for [0]."""
+    out = []
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        seen, lineno = 0, 1
+        for target in starts:
+            while seen < target and (line := fh.readline()):
+                seen += bool(line.strip())
+                lineno += 1
+            out.append((fh.tell(), lineno))
+    return out
 
 
 def _decode(records, skipped: list):
@@ -467,7 +489,8 @@ def _decode(records, skipped: list):
 #   alpha(G) = max(alpha(G - u), alpha(G - w)) for any edge uw, since a
 #   maximum independent set misses u or w;
 #   the Maxine sizes are the union of those of G - v over the max-degree
-#   v, which is the recurrence itself;
+#   v: the one-vertex form of the recurrence, where heuristics deletes a
+#   whole phase of max-degree vertices per step;
 #   v is MDI iff it has maximum degree and alpha(G - v) < alpha(G);
 #   the guided run (maxine_hh) ends as that of G - v* does, v* its first
 #   deletion, since G - v keeps the vertex order that breaks ties;
@@ -632,7 +655,8 @@ def _graph_flags(g: Graph) -> int:
     Otherwise each 7-vertex induced subgraph (G itself, or G - v at 8
     vertices) gives its relabeling bit, and deleting further only at or
     above v's position reaches each 6-vertex induced subgraph once.  An
-    8-vertex member can only be a relabeling of G, so it is searched for."""
+    8-vertex member can only be a relabeling of G, so it is searched for
+    only when its edge count is G's."""
     n, mask = g.n, g.mask()
     if n <= 6:
         return _flag_level(n)[mask]
@@ -650,8 +674,13 @@ def _graph_flags(g: Graph) -> int:
         for a, b, c in sub7[v:]:
             out |= six[a[y0] | b[y1] | c[y2]]
     if n == 8 and out & _C4_FLAG:  # every catalog member holds an induced C4
+        edges = mask.bit_count()
         for pattern, flag in _flagged_patterns(8):
-            if flag & ~out and find_induced(g, pattern) is not None:
+            if (
+                flag & ~out
+                and pattern.edge_count == edges
+                and find_induced(g, pattern) is not None
+            ):
                 out |= flag
     return out
 

@@ -10,6 +10,7 @@ from reslab.degseq import residue
 from reslab.graphs import Graph, enumerate_labeled, from_graph6
 from reslab.heuristics import (
     NoHHVertexError,
+    _maximal_independent_sets,
     hh_property_vertices,
     max_degree_vertices,
     maxine_all,
@@ -146,8 +147,22 @@ def disjoint_union(*parts: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def regular(n: int, d: int, seed: int) -> Graph:
+    """A seeded simple d-regular graph on n vertices (pairing model with
+    rejection), relabeled by a seeded permutation."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == n * d // 2 and all(a != b for a, b in edges):
+            perm = rng.sample(range(n), n)
+            return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
 class TestMaxineAllOracle:
-    """The degree-1 and degree-2 base cases against the plain recurrence."""
+    """The degree-1 and degree-2 base cases and the phase step against the
+    plain recurrence."""
 
     def test_every_labeled_graph_to_n6(self):
         for n in range(7):
@@ -192,6 +207,49 @@ class TestMaxineAllOracle:
     def test_cycle_32_returns(self):
         # the recurrence was exponential in k on cycles; no timing asserted
         assert maxine_all(cycle(32)).achievable_sizes == set(range(11, 17))
+
+    @pytest.mark.parametrize(
+        "n,d", [(12, 3), (14, 3), (16, 3), (10, 4), (12, 4), (14, 4)]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabeled_regular(self, n, d, seed):
+        # every vertex ties at the start, so the first phase branches on
+        # the maximal independent sets of the whole graph
+        g = regular(n, d, seed * 100 + n)
+        assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
+
+    @pytest.mark.parametrize("sizes", [(6, 8), (8, 8), (8, 10)])
+    def test_union_of_two_cubic_graphs(self, sizes):
+        a, b = (regular(k, 3, 7 * k) for k in sizes)
+        g = disjoint_union(a, b)
+        perm = random.Random(sum(sizes)).sample(range(g.n), g.n)
+        g = oracles.relabel(g, perm)
+        assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
+
+    def test_cubic_32_returns(self):
+        # the recurrence was exponential on tied degrees >= 3; no timing asserted
+        g = regular(32, 3, 32)
+        r, a = residue(g), alpha(g)
+        sizes = maxine_all(g).achievable_sizes
+        assert sizes and all(r <= m <= a for m in sizes)
+
+
+class TestMaximalIndependentSets:
+    def test_every_subset_of_small_graphs(self):
+        # against the definition: independent, and no other vertex of p
+        # can join; p runs over every vertex subset
+        for n in range(6):
+            for g in enumerate_labeled(n):
+                for p in range(1 << n):
+                    expected = {
+                        s
+                        for s in range(1 << n)
+                        if s & p == s
+                        and not any(g.adj[v] & s for v in range(n) if s >> v & 1)
+                        and all(g.adj[v] & s for v in range(n) if (p & ~s) >> v & 1)
+                    }
+                    got = list(_maximal_independent_sets(g.adj, p))
+                    assert len(got) == len(expected) and set(got) == expected, (g, p)
 
 
 class TestMaxineHH:

@@ -477,7 +477,7 @@ class TestCorpusSource:
         p = self.make_corpus(tmp_path, lines)
         checks = [CheckId.THM1_RESIDUE_LE_ALPHA, CheckId.F_MEMBERS_ARE_MDI]
         outputs = []
-        for shards in (1, 2, 3, 9):
+        for shards in (1, 2, 3, 9, 10**9):
             reports = run_suite(CorpusSource(p), checks, shards=shards)
             dicts = [r.to_dict() for r in reports]
             for d in dicts:
@@ -520,27 +520,64 @@ class TestCorpusSource:
 
     def test_chunks_are_record_spans(self):
         source = CorpusSource(CORPUS8)
-        assert source.chunks(1) == [(0, 12346)]
-        assert source.chunks(2) == [(0, 6173), (6173, 12346)]
+        assert source.chunks(1) == [(0, 12346, 0, 1)]
+        assert [c[:2] for c in source.chunks(2)] == [(0, 6173), (6173, 12346)]
         spans = source.chunks(10**9)
         assert len(spans) <= 4096
         assert spans[0][0] == 0 and spans[-1][1] == 12346
-        assert all(lo < hi == nxt for (lo, hi), (nxt, _) in zip(spans, spans[1:]))
+        assert all(c[0] < c[1] == nxt[0] for c, nxt in zip(spans, spans[1:]))
         with open(CORPUS8) as fh:
             records = [line.strip() for line in fh if line.strip()]
-        for lo, hi in source.chunks(2) + spans[:2] + spans[-2:]:
+        for chunk in source.chunks(2) + spans[:2] + spans[-2:]:
+            lo, hi, _, lineno = chunk
+            assert lineno == lo + 1  # corpus8 has no blank lines
             skipped = []
-            got = [to_graph6(f.graph) for f in source.facts((lo, hi), skipped)]
+            got = [to_graph6(f.graph) for f in source.facts(chunk, skipped)]
             assert got == records[lo:hi] and skipped == []
+
+    def test_chunks_read_each_record_once(self, monkeypatch):
+        # each chunk seeks to its first record instead of reading up to it
+        source = CorpusSource(CORPUS8)
+        chunks = source.chunks(10**9)
+        read = 0
+        real = verify._corpus_records
+
+        def counting(*args):
+            nonlocal read
+            for item in real(*args):
+                read += 1
+                yield item
+
+        monkeypatch.setattr(verify, "_corpus_records", counting)
+        assert sum(sum(1 for _ in source.facts(c, [])) for c in chunks) == 12346
+        assert read == 12346
+
+    def test_crlf_and_cr_line_ends(self, tmp_path, capsys):
+        p = tmp_path / "corpus.g6"
+        p.write_bytes(b"Bw\r\nbad!\r\n\r\nCl\rD\nDQo\r\n?!\rC~\r\n")
+        checks = [CheckId.THM1_RESIDUE_LE_ALPHA, CheckId.F_MEMBERS_ARE_MDI]
+        outputs = []
+        for shards in (1, 2, 3, 10**9):
+            reports = run_suite(CorpusSource(str(p)), checks, shards=shards)
+            dicts = [r.to_dict() for r in reports]
+            for d in dicts:
+                d.pop("elapsed_ms")
+            outputs.append((dicts, capsys.readouterr().err))
+        dicts, err = outputs[0]
+        assert dicts[0]["scanned"] == 4 and dicts[0]["skipped_records"] == 3
+        assert [line.split(":")[2] for line in err.splitlines()] == ["2", "5", "7"]
+        assert all(out == outputs[0] for out in outputs)
 
     def test_spans_count_records_not_lines(self, tmp_path, capsys):
         lines = ["", "Bw", "  ", "bad!", "Cl", to_graph6(empty(40)), "", "D", "DQo"]
         p = self.make_corpus(tmp_path, lines)
         source = CorpusSource(p)
-        assert source.chunks(1) == [(0, 6)]
-        assert source.chunks(2) == [(0, 3), (3, 6)]
+        assert source.chunks(1) == [(0, 6, 0, 1)]
+        first, second = source.chunks(2)
+        assert first[:2] == (0, 3) and second[:2] == (3, 6)
+        assert second[3] == 6  # record 3 is on line 6
         skipped = []
-        got = [to_graph6(f.graph) for f in source.facts((3, 6), skipped)]
+        got = [to_graph6(f.graph) for f in source.facts(second, skipped)]
         assert got == ["DQo"]
         truncated = "record truncated: expected 2 payload bytes, got 0 (byte offset 1)"
         assert skipped == [(6, "40 vertices, limit 32"), (8, truncated)]
