@@ -55,13 +55,18 @@ def hh_step(seq: tuple[int, ...], _step: int = 0) -> tuple[int, ...]:
     d = normalized(seq)
     if not d or d[0] == 0:
         raise ValueError("hh_step needs a sequence with a positive maximum")
+    return _hh_step(d, _step)
+
+
+def _hh_step(d: tuple[int, ...], step: int) -> tuple[int, ...]:
+    """hh_step on a sorted sequence with a positive maximum, unchecked."""
     d1, rest = d[0], list(d[1:])
     if d1 > len(rest):
-        raise NonGraphicError(f"entry {d1} exceeds remaining length {len(rest)}", _step)
+        raise NonGraphicError(f"entry {d1} exceeds remaining length {len(rest)}", step)
+    if rest[d1 - 1] == 0:  # the smallest of the entries decremented
+        raise NonGraphicError("decrement drives an entry negative", step)
     for i in range(d1):
         rest[i] -= 1
-        if rest[i] < 0:
-            raise NonGraphicError("decrement drives an entry negative", _step)
     rest.sort(reverse=True)
     return tuple(rest)
 
@@ -92,7 +97,7 @@ def hh_trace(entries) -> HHTrace:
     steps = [seq]
     k = 0
     while seq and seq[0] > 0:
-        seq = hh_step(seq, k)
+        seq = _hh_step(seq, k)
         steps.append(seq)
         k += 1
     return HHTrace(tuple(steps))

@@ -129,6 +129,23 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
 
 
+def _components(adj, mask: int) -> Iterator[int]:
+    """The connected components of the subgraph `mask` induces, as
+    vertex bitmasks, in order of their lowest vertex."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            new = adj[b.bit_length() - 1] & mask & ~comp
+            comp |= new
+            frontier |= new
+            if comp == mask:
+                break  # the last component: nothing left to reach
+        mask ^= comp
+        yield comp
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph._make(g.n, tuple((full & ~m) & ~(1 << v) for v, m in enumerate(g.adj)))

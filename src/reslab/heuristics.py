@@ -28,6 +28,23 @@ the deletions made at degree d form an independent set of G[T], in any
 order, and the phase ends exactly when that set is maximal in G[T]:
 
     S(G) = U S(G - I)  over the maximal independent sets I of G[T].
+
+At d = 3 every child G - I is paths and cycles: a vertex of T is in I or
+loses a neighbour to it, and no vertex gains degree.  So the children go
+straight to the sumset above, their degree-2 vertices read off from
+those of G and from how many neighbours each vertex of T has in I.
+
+The merge argument above holds for any components, so the sweep starts
+with one run per component of G and takes the sumset of their S.  It
+splits there only: testing connectivity at every state costs more than
+it saves on small graphs.
+
+The guided run deletes a maximum-degree vertex v whose neighbours'
+smallest degree is at least its non-neighbours' largest.  With
+D = deg(v), that holds exactly when the degrees over N(v) sum to the D
+largest degrees of the other vertices: any D of those degrees sum to at
+most the D largest, with equality only when no degree left out exceeds
+one taken.  So one degree pass serves every candidate v.
 """
 
 from __future__ import annotations
@@ -35,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _mask_to_set
+from .graphs import Graph, _bits, _components, _mask_to_set
 
 MAXINE_ALL_CAP = 32
 
@@ -105,37 +122,42 @@ def _hh_vertices_mask(adj, mask: int) -> tuple[int, int]:
 
     A vertex qualifies when, inside `mask`, it has maximum degree and the
     smallest degree over its neighbors is >= the largest degree over the
-    non-neighbors (ties allowed).  Deleting such a vertex tracks one
-    Havel-Hakimi elimination step on the degree sequence.
+    non-neighbors (ties allowed), i.e. when its neighbor degrees sum to
+    the `best` largest degrees of the other vertices (module docstring).
+    Deleting such a vertex tracks one Havel-Hakimi elimination step on
+    the degree sequence.
     """
-    best, cands = _max_degree_mask(adj, mask)
+    degs = [0] * len(adj)  # degree inside `mask`, 0 outside it
+    best = -1
+    cands = 0
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        d = degs[v] = (adj[v] & mask).bit_count()
+        if d > best:
+            best = d
+            cands = b
+        elif d == best:
+            cands |= b
     if best <= 0:
         return best, cands  # edgeless: every vertex qualifies
+    # the top best + 1 degrees of `mask`: at least best + 1 vertices lie
+    # in it, so the zeros of the vertices outside change no sum
+    want = sum(sorted(degs, reverse=True)[1 : best + 1])
     out = 0
     c = cands
     while c:
         b = c & -c
         c ^= b
-        v = b.bit_length() - 1
-        nbrs = adj[v] & mask
-        others = mask & ~nbrs & ~b
-        lo = best
-        m = nbrs
+        got = 0
+        m = adj[b.bit_length() - 1] & mask
         while m:
             nb = m & -m
             m ^= nb
-            d = (adj[nb.bit_length() - 1] & mask).bit_count()
-            if d < lo:
-                lo = d
-        hi = 0
-        m = others
-        while m:
-            ob = m & -m
-            m ^= ob
-            d = (adj[ob.bit_length() - 1] & mask).bit_count()
-            if d > hi:
-                hi = d
-        if not nbrs or lo >= hi:
+            got += degs[nb.bit_length() - 1]
+        if got == want:
             out |= b
     return best, out
 
@@ -201,21 +223,10 @@ def _path_sizes(k: int) -> int:
 
 
 def _paths_and_cycles_sizes(adj, mask: int, deg2: int) -> int:
-    """Achievable counts when `mask` induces maximum degree 2; `deg2`
-    holds its degree-2 vertices."""
+    """Achievable counts when `mask` induces maximum degree at most 2;
+    `deg2` holds its degree-2 vertices."""
     out = 1
-    rest = mask
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            nbrs = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nbrs |= adj[b.bit_length() - 1]
-            frontier = nbrs & rest & ~comp
-            comp |= frontier
-        rest ^= comp
+    for comp in _components(adj, mask):
         k = comp.bit_count()
         if comp & deg2 == comp:
             k -= 1  # a cycle: every deletion leaves P_{k-1}
@@ -264,6 +275,42 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
     elif best == 2:
         # paths and cycles: a sumset of table lookups (module docstring)
         out = _paths_and_cycles_sizes(adj, mask, cands)
+    elif best == 3:
+        # one phase at degree 3 leaves paths and cycles (module docstring):
+        # the degree-2 vertices of a child are those of `mask` that lose
+        # no neighbour and those of `cands` that lose exactly one
+        deg2 = degsum = 0
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            deg = (adj[b.bit_length() - 1] & mask).bit_count()
+            degsum += deg
+            if deg == 2:
+                deg2 |= b
+        out = 0
+        for d in _maximal_independent_sets(adj, cands):
+            child = mask ^ d
+            got = memo.get(child)
+            if got is None:
+                once = twice = 0  # neighbours of d, and those with two in d
+                m = d
+                while m:
+                    b = m & -m
+                    m ^= b
+                    a = adj[b.bit_length() - 1]
+                    twice |= once & a
+                    once |= a
+                child2 = (deg2 & ~once | cands & ~twice) & child
+                if child2:
+                    got = _paths_and_cycles_sizes(adj, child, child2)
+                else:
+                    # a matching: one end of each edge goes, and d took
+                    # three edges with each of its vertices
+                    edges = degsum // 2 - 3 * d.bit_count()
+                    got = 1 << (child.bit_count() - edges)
+                memo[child] = got
+            out |= got
     else:
         # one whole phase at degree `best`: delete a maximal independent
         # set of the max-degree vertices (module docstring)
@@ -274,12 +321,21 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
     return out
 
 
+def _maxine_sizes(adj, mask: int) -> int:
+    """Achievable survivor counts of the graph `mask` induces, as a size
+    bitmask: the sumset over its components (module docstring)."""
+    out = 1
+    memo: dict[int, int] = {}
+    for comp in _components(adj, mask):
+        out = _sumset(out, _maxine_sizes_mask(adj, comp, memo))
+    return out
+
+
 def maxine_all(g: Graph, cap: int = MAXINE_ALL_CAP) -> MaxineSummary:
     """Exhaust every tie-breaking choice (memoized on surviving sets)."""
     if g.n > cap:
         raise ValueError(f"maxine_all limited to n <= {cap}, got {g.n}")
-    sizes = _maxine_sizes_mask(g.adj, (1 << g.n) - 1, {})
-    return MaxineSummary(_mask_to_set(sizes))
+    return MaxineSummary(_mask_to_set(_maxine_sizes(g.adj, (1 << g.n) - 1)))
 
 
 def maxine_hh(g: Graph) -> MaxineOutcome:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _mask_to_set, induced
+from .graphs import Graph, _bits, _components, _mask_to_set, induced
 
 ALL_MIS_CAP = 32
 
@@ -38,24 +38,45 @@ def _greedy_lower_bound(adj, mask: int) -> int:
 
 
 def _alpha_bb(adj, mask: int, size: int, best: int) -> int:
-    """Branch and bound on a maximum-degree vertex, in/out."""
-    if mask == 0:
-        return size if size > best else best
+    """max(best, size + alpha of the subgraph `mask` induces), by branch
+    and bound on a maximum-degree vertex, in/out; `best` comes back as
+    soon as the sum cannot beat it.
+
+    Once the maximum degree is at most 2 the subgraph is a disjoint union
+    of paths and cycles, E edges in all, and finishes in closed form:
+    ceil(k/2) for the path P_k, which has a vertex of degree <= 1, and
+    floor(k/2) for the cycle C_k (k >= 3), which has none.  That sum is
+    |mask| - E when the maximum degree is at most 1, and otherwise at most
+    |mask| - E/2 (half a vertex more per path), so the components are
+    walked only when this bound beats `best`.
+    """
     if size + mask.bit_count() <= best:
         return best
     maxd = -1
     maxv = -1
+    dsum = 0
+    ends = 0
     m = mask
     while m:
         b = m & -m
         m ^= b
         v = b.bit_length() - 1
         d = (adj[v] & mask).bit_count()
+        dsum += d
         if d > maxd:
             maxd = d
             maxv = v
-    if maxd == 0:
-        size += mask.bit_count()
+        if d < 2:
+            ends |= b
+    if maxd <= 1:
+        size += mask.bit_count() - dsum // 2  # one vertex per edge goes
+        return size if size > best else best
+    if maxd == 2:
+        if size + mask.bit_count() - (dsum + 3) // 4 <= best:  # dsum = 2E
+            return best
+        for comp in _components(adj, mask):
+            k = comp.bit_count()
+            size += (k + 1) // 2 if comp & ends else k // 2
         return size if size > best else best
     bit = 1 << maxv
     best = _alpha_bb(adj, mask & ~(adj[maxv] | bit), size + 1, best)

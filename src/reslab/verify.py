@@ -36,7 +36,7 @@ from .heuristics import (
     MAXINE_ALL_CAP,
     NoHHVertexError,
     _hh_vertices_mask,
-    _maxine_sizes_mask,
+    _maxine_sizes,
     maxine_hh,
 )
 from .independence import (
@@ -152,7 +152,7 @@ class GraphFacts:
 
     @_lazy
     def maxine_sizes(self) -> int:
-        return _maxine_sizes_mask(self.graph.adj, self.full_mask, {})
+        return _maxine_sizes(self.graph.adj, self.full_mask)
 
     @property
     def maxine_min(self) -> int:

@@ -120,6 +120,15 @@ def nonincreasing_sequences(length: int, max_entry: int):
     yield from rec([], length, max_entry)
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each shifted past the ones before it."""
+    edges, offset = [], 0
+    for g in parts:
+        edges.extend((a + offset, b + offset) for a, b in g.edges())
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def relabel(g: Graph, perm) -> Graph:
     """Graph with vertex v renamed perm[v]."""
     return Graph(g.n, ((perm[a], perm[b]) for a, b in g.edges()))

@@ -10,6 +10,7 @@ from reslab.degseq import residue
 from reslab.graphs import Graph, enumerate_labeled, from_graph6
 from reslab.heuristics import (
     NoHHVertexError,
+    _hh_vertices_mask,
     _maximal_independent_sets,
     hh_property_vertices,
     max_degree_vertices,
@@ -20,6 +21,7 @@ from reslab.heuristics import (
 )
 from reslab.independence import alpha
 from reslab.patterns import cycle, path
+from reslab.verify import GraphFacts
 
 CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 
@@ -47,21 +49,41 @@ class TestHHPropertyVertices:
     def test_edgeless_all_qualify(self):
         assert hh_property_vertices(Graph(3)) == {0, 1, 2}
 
+    @staticmethod
+    def by_definition(g: Graph, mask: int) -> tuple[int, int]:
+        # inside mask: max degree, and min neighbor degree >= max
+        # non-neighbor degree; -1 and nothing for the empty mask
+        inside = [v for v in range(g.n) if mask >> v & 1]
+        deg = {v: len(g.neighbors(v) & set(inside)) for v in inside}
+        maxdeg = max(deg.values(), default=-1)
+        expect = 0
+        for v in inside:
+            if deg[v] != maxdeg:
+                continue
+            nbrs = g.neighbors(v)
+            lo = min((deg[u] for u in inside if u in nbrs), default=maxdeg)
+            hi = max((deg[u] for u in inside if u != v and u not in nbrs), default=0)
+            if lo >= hi:
+                expect |= 1 << v
+        return maxdeg, expect
+
     def test_definition_brute_force(self):
-        # max degree, and min neighbor degree >= max non-neighbor degree
+        for g in enumerate_labeled(6):
+            _, expect = self.by_definition(g, 63)
+            assert hh_property_vertices(g) == {v for v in range(6) if expect >> v & 1}, g
+
+    def test_definition_every_mask(self):
+        # the guided run asks on shrinking vertex sets
         for g in enumerate_labeled(5):
-            maxdeg = max(g.degree(v) for v in range(5))
-            expect = set()
-            for v in range(5):
-                if g.degree(v) != maxdeg:
-                    continue
-                nbrs = g.neighbors(v)
-                others = [u for u in range(5) if u != v and u not in nbrs]
-                lo = min((g.degree(u) for u in nbrs), default=maxdeg)
-                hi = max((g.degree(u) for u in others), default=0)
-                if lo >= hi:
-                    expect.add(v)
-            assert hh_property_vertices(g) == expect, g
+            for mask in range(32):
+                assert _hh_vertices_mask(g.adj, mask) == self.by_definition(g, mask), (g, mask)
+
+    def test_definition_corpus8(self):
+        with open(CORPUS8, encoding="ascii") as fh:
+            for line in fh:
+                if line.strip():
+                    g = from_graph6(line.strip())
+                    assert _hh_vertices_mask(g.adj, 255) == self.by_definition(g, 255), line
 
 
 class TestMaxineRun:
@@ -139,14 +161,6 @@ class TestMaxineAll:
             maxine_all(Graph(33))
 
 
-def disjoint_union(*parts: Graph) -> Graph:
-    edges, offset = [], 0
-    for g in parts:
-        edges.extend((a + offset, b + offset) for a, b in g.edges())
-        offset += g.n
-    return Graph(offset, edges)
-
-
 def regular(n: int, d: int, seed: int) -> Graph:
     """A seeded simple d-regular graph on n vertices (pairing model with
     rejection), relabeled by a seeded permutation."""
@@ -194,7 +208,7 @@ class TestMaxineAllOracle:
         ),
     )
     def test_relabeled_paths_and_cycles(self, parts):
-        g = disjoint_union(*parts)
+        g = oracles.disjoint_union(*parts)
         perm = list(range(g.n))
         random.Random(g.n * 31 + len(parts)).shuffle(perm)
         g = oracles.relabel(g, perm)
@@ -221,10 +235,42 @@ class TestMaxineAllOracle:
     @pytest.mark.parametrize("sizes", [(6, 8), (8, 8), (8, 10)])
     def test_union_of_two_cubic_graphs(self, sizes):
         a, b = (regular(k, 3, 7 * k) for k in sizes)
-        g = disjoint_union(a, b)
+        g = oracles.disjoint_union(a, b)
         perm = random.Random(sum(sizes)).sample(range(g.n), g.n)
         g = oracles.relabel(g, perm)
         assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (6, cycle(4), path(3), path(1)),
+            (8, cycle(5), path(2), path(1)),
+            (10, cycle(3), path(4), path(1)),
+        ],
+        ids=["Q6+C4+P3+K1", "Q8+C5+P2+K1", "Q10+C3+P4+K1"],
+    )
+    def test_union_of_cubic_paths_and_cycles(self, parts):
+        # the components are split at the entry; each keeps its own memo
+        g = oracles.disjoint_union(regular(parts[0], 3, 11 * parts[0]), *parts[1:])
+        perm = random.Random(g.n).sample(range(g.n), g.n)
+        g = oracles.relabel(g, perm)
+        assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
+
+    def test_graph_facts_share_the_entry(self):
+        # GraphFacts.maxine_sizes and maxine_all on the families of the
+        # sparse benchmark corpus: cycles, cycle unions, cubic graphs and
+        # unions of two cubic graphs
+        families = [
+            *(cycle(k) for k in (12, 17, 24)),
+            oracles.disjoint_union(cycle(3), cycle(4), cycle(5), cycle(6)),
+            oracles.disjoint_union(cycle(10), cycle(11)),
+            *(regular(n, 3, n) for n in (12, 18, 24)),
+            oracles.disjoint_union(regular(8, 3, 1), regular(10, 3, 2)),
+        ]
+        for i, g in enumerate(families):
+            g = oracles.relabel(g, random.Random(i).sample(range(g.n), g.n))
+            sizes = GraphFacts(g).maxine_sizes
+            assert {s for s in range(g.n + 1) if sizes >> s & 1} == maxine_all(g).achievable_sizes
 
     def test_cubic_32_returns(self):
         # the recurrence was exponential on tied degrees >= 3; no timing asserted

@@ -1,6 +1,8 @@
 """alpha / maximum-independent-set enumeration / reductions around a
 max-degree vertex that lies in every maximum independent set."""
 
+import random
+
 import pytest
 
 import oracles
@@ -13,6 +15,7 @@ from reslab.independence import (
     reduce_to_unique_mis,
     reduction_pipeline,
 )
+from reslab.patterns import cycle, path
 
 P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -34,6 +37,68 @@ class TestAlpha:
         assert alpha(C4) == 2
         assert alpha(Graph(5)) == 5
         assert alpha(Graph(0)) == 0
+
+
+def paths_and_cycles_alpha(parts) -> int:
+    # ceil(k/2) for the path P_k, floor(k/2) for the cycle C_k
+    return sum((g.n + (g.edge_count < g.n)) // 2 for g in parts)
+
+
+def path_mdi(k: int) -> set[int]:
+    # P_1 is one vertex; an odd path has one maximum independent set, its
+    # even positions, whose interior ones have maximum degree; an even
+    # path has two maximum independent sets with no common vertex
+    if k == 1:
+        return {0}
+    return set(range(2, k - 2, 2)) if k % 2 else set()
+
+
+PATHS_AND_CYCLES = [
+    (cycle(3), path(4)),
+    (cycle(5), cycle(6)),
+    (path(2), path(7), cycle(4)),
+    (path(1), path(1), cycle(3), path(3)),
+    (cycle(4), cycle(4), cycle(4)),
+    (path(3), cycle(5), path(6)),
+    (cycle(7), path(9)),
+    (path(5), path(5), path(1)),
+]
+
+
+class TestAlphaPathsAndCycles:
+    """alpha finishes in closed form once the maximum degree is at most 2."""
+
+    @pytest.mark.parametrize(
+        "parts",
+        PATHS_AND_CYCLES,
+        ids=lambda parts: "+".join(
+            f"{'C' if g.edge_count == g.n > 2 else 'P'}{g.n}" for g in parts
+        ),
+    )
+    def test_relabeled_unions(self, parts):
+        g = oracles.disjoint_union(*parts)
+        perm = list(range(g.n))
+        random.Random(g.n * 31 + len(parts)).shuffle(perm)
+        g = oracles.relabel(g, perm)
+        assert alpha(g) == paths_and_cycles_alpha(parts) == oracles.brute_alpha(g)
+        assert mdi_vertices(g) == oracles.brute_mdi(g)
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_paths(self, k):
+        g = path(k)
+        assert alpha(g) == (k + 1) // 2
+        assert mdi_vertices(g) == path_mdi(k)
+        if k <= 12:
+            assert path_mdi(k) == oracles.brute_mdi(g)
+
+    @pytest.mark.parametrize("k", range(3, 33))
+    def test_cycles(self, k):
+        g = cycle(k)
+        assert alpha(g) == k // 2
+        # every vertex misses some maximum independent set
+        assert mdi_vertices(g) == frozenset()
+        if k <= 12:
+            assert oracles.brute_mdi(g) == frozenset()
 
 
 class TestAllMIS:
