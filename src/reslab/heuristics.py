@@ -370,7 +370,11 @@ def maxine_hh_sizes(g: Graph, cap: int = MAXINE_ALL_CAP) -> frozenset[int]:
     if g.n > cap:
         raise ValueError(f"maxine_hh_sizes limited to n <= {cap}, got {g.n}")
     adj = g.adj
-    memo: dict[int, int] = {}
+    memo: dict = {}  # by mask, and at degree <= 2 by component shapes
+
+    def shape(comp: int) -> tuple[int, bool]:
+        k = comp.bit_count()  # and whether it is a cycle: k edges
+        return k, sum((adj[v] & comp).bit_count() for v in _bits(comp)) == 2 * k
 
     def rec(mask: int) -> int:
         out = memo.get(mask)
@@ -379,10 +383,22 @@ def maxine_hh_sizes(g: Graph, cap: int = MAXINE_ALL_CAP) -> frozenset[int]:
         best, hh = _hh_vertices_mask(adj, mask)
         if best <= 0:
             out = 1 << mask.bit_count()
+        elif best == 1:
+            # a matching: every degree-1 vertex qualifies, and each
+            # deletion takes one end of an edge
+            out = 1 << (mask.bit_count() - hh.bit_count() // 2)
         else:
-            out = 0
-            for v in _bits(hh):
-                out |= rec(mask ^ 1 << v)
+            key = mask
+            if best == 2:
+                # paths and cycles: isomorphic graphs have the same
+                # outcomes, so the sorted shapes of the components key them
+                key = tuple(sorted(map(shape, _components(adj, mask))))
+            out = memo.get(key)
+            if out is None:
+                out = 0
+                for v in _bits(hh):
+                    out |= rec(mask ^ 1 << v)
+                memo[key] = out
         memo[mask] = out
         return out
 

@@ -499,7 +499,10 @@ def _decode(records, skipped: list):
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
 # vertex MDI, and a guided run that deletes nothing.  Corpus records with
 # at most 8 vertices read C4, P5 and catalog-member presence from the
-# same flag tables, through their 6- and 7-vertex induced subgraphs.
+# same flag tables, through their 6- and 7-vertex induced subgraphs, and
+# alpha, the Maxine sizes and the MDI mask through the same deletions:
+# one into _level(n - 1) up to 7 vertices, two into _level(6) at 8, where
+# the degrees of G - v are those of G less v's row.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -620,15 +623,19 @@ def _flag_level(k: int) -> bytearray:
 
 
 @lru_cache(maxsize=None)
-def _flagged_patterns(k: int) -> tuple[tuple[Graph, int], ...]:
-    """(pattern, flag) of C4, P5 and the catalog members with exactly k
-    vertices; a member is flagged raw and, if it passes its own MDI
-    test, filtered."""
+def _flagged_patterns(k: int) -> tuple[tuple[Graph, int, int], ...]:
+    """(pattern, flag, edge count) of C4, P5 and the catalog members with
+    exactly k vertices; a member is flagged raw and, if it passes its own
+    MDI test, filtered."""
     members = [
         (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
         for m in _catalog_upto(k, False)
     ]
-    return tuple(pf for pf in [*_PATTERN_FLAGS.items(), *members] if pf[0].n == k)
+    return tuple(
+        (g, flag, g.edge_count)
+        for g, flag in [*_PATTERN_FLAGS.items(), *members]
+        if g.n == k
+    )
 
 
 @lru_cache(maxsize=None)
@@ -636,7 +643,7 @@ def _relabeled_flags(k: int) -> dict[int, int]:
     """Flags of the k-vertex edge masks that relabel a flagged pattern
     with exactly k vertices, OR-ed over those patterns."""
     out: dict[int, int] = {}
-    for pattern, flag in _flagged_patterns(k):
+    for pattern, flag, _ in _flagged_patterns(k):
         edges = list(pattern.edges())
         for perm in permutations(range(k)):
             image = 0
@@ -649,52 +656,78 @@ def _relabeled_flags(k: int) -> dict[int, int]:
     return out
 
 
-def _graph_flags(g: Graph) -> int:
-    """_FlagFacts.flags of a graph with at most 8 vertices, from the
-    tables.  Up to 6 vertices it is the graph's own entry of _flag_level.
-    Otherwise each 7-vertex induced subgraph (G itself, or G - v at 8
-    vertices) gives its relabeling bit, and deleting further only at or
-    above v's position reaches each 6-vertex induced subgraph once.  An
-    8-vertex member can only be a relabeling of G, so it is searched for
-    only when its edge count is G's."""
-    n, mask = g.n, g.mask()
-    if n <= 6:
-        return _flag_level(n)[mask]
-    if n == 7:
-        sevens = [mask]
-    else:
-        # the four 7-bit chunks of the 28-bit mask
-        x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
-        sevens = [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in _chunk_tables(8)[1]]
-    six, seven, sub7 = _flag_level(6), _relabeled_flags(7), _chunk_tables(7)[1]
-    out = 0
-    for v, m in enumerate(sevens):
-        out |= seven.get(m, 0)
-        y0, y1, y2 = m & 127, m >> 7 & 127, m >> 14
-        for a, b, c in sub7[v:]:
-            out |= six[a[y0] | b[y1] | c[y2]]
-    if n == 8 and out & _C4_FLAG:  # every catalog member holds an induced C4
-        edges = mask.bit_count()
-        for pattern, flag in _flagged_patterns(8):
-            if (
-                flag & ~out
-                and pattern.edge_count == edges
-                and find_induced(g, pattern) is not None
-            ):
-                out |= flag
-    return out
+# _SIX_INDEX[v][x]: the index into _FlagFacts.sixes of G - v - x, for x a
+# vertex of G - v
+_SIX_INDEX = [
+    [x * (x + 1) // 2 + v if x >= v else v * (v - 1) // 2 + x for x in range(7)]
+    for v in range(8)
+]
 
 
 class _FlagFacts(GraphFacts):
-    """GraphFacts of a graph with at most ENUM_CAP vertices, whose C4, P5
-    and catalog-member answers come from one flags byte read from the
-    labeled tables instead of pattern searches."""
+    """GraphFacts of a graph with at most ENUM_CAP vertices, read from the
+    labeled tables through its induced subgraphs instead of searched:
+    alpha, the Maxine sizes and the MDI mask from _level, and C4, P5 and
+    catalog-member presence from one flags byte."""
+
+    @_lazy
+    def mask(self) -> int:
+        return self.graph.mask()
+
+    @_lazy
+    def deletions(self) -> list[int]:
+        """The edge mask of G - v for each vertex v, over pair_order(n - 1)."""
+        mask, rows = self.mask, _chunk_tables(self.n)[1]
+        if self.n == 8:  # the four 7-bit chunks of the 28-bit mask
+            x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
+            return [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in rows]
+        xs = [mask >> _CHUNK * c & _CHUNK_MASK for c in range(3)]  # map stops early
+        return [sum(map(getitem, row, xs)) for row in rows]
+
+    @_lazy
+    def sixes(self) -> list[int]:
+        """The edge masks of the 6-vertex induced subgraphs, each once, of a
+        graph with 7 or 8 vertices; at 8, G - v - x for the pair (v, x) at
+        its position in pair_order(8)."""
+        if self.n == 7:
+            return self.deletions
+        sub7 = _chunk_tables(7)[1]
+        ys = [(m & 127, m >> 7 & 127, m >> 14) for m in self.deletions]
+        return [
+            a[y0] | b[y1] | c[y2]
+            for x, (y0, y1, y2) in enumerate(ys)
+            for a, b, c in sub7[:x]
+        ]
 
     @_lazy
     def flags(self) -> int:
         """Which of C4, P5, a filtered catalog member and a raw member
-        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG."""
-        return _graph_flags(self.graph)
+        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG.
+
+        Up to 6 vertices it is the graph's own entry of _flag_level.
+        Otherwise each 7-vertex induced subgraph gives its relabeling bit,
+        and each 6-vertex one its _flag_level(6) entry.  An 8-vertex
+        member can only be a relabeling of G, so it is searched for only
+        when its edge count is G's."""
+        n, mask = self.n, self.mask
+        if n <= 6:
+            return _flag_level(n)[mask]
+        seven, six = _relabeled_flags(7), _flag_level(6)
+        out = 0
+        for m in self.deletions if n == 8 else (mask,):
+            out |= seven.get(m, 0)
+        for m in self.sixes:
+            out |= six[m]
+        if n == 8 and out & _C4_FLAG:  # every catalog member holds an induced C4
+            edges = mask.bit_count()
+            for pattern, flag, pattern_edges in _flagged_patterns(8):
+                if (
+                    flag & ~out
+                    and pattern_edges == edges
+                    and find_induced(self.graph, pattern) is not None
+                ):
+                    out |= flag
+        return out
 
     def has_pattern(self, pattern: Graph) -> bool:
         flag = _PATTERN_FLAGS.get(pattern)
@@ -704,6 +737,67 @@ class _FlagFacts(GraphFacts):
 
     def has_member(self, filtered: bool) -> bool:
         return bool(self.flags & (_MEMBER_FLAG if filtered else _RAW_MEMBER_FLAG))
+
+    @_lazy
+    def _levels(self) -> tuple[int, int, int]:
+        """(alpha, Maxine sizes, MDI mask) by the rules of the "Labeled
+        scans" comment, from alpha and the sizes of each G - v: one
+        deletion into _level(n - 1) up to 7 vertices, two into _level(6)
+        at 8."""
+        n, mask = self.n, self.mask
+        if not mask:
+            return n, 1 << n, (1 << n) - 1
+        adj = self.graph.adj
+        degs = [a.bit_count() for a in adj]
+        alphas, sizes = _level(min(n - 1, 6))
+        if n <= 7:
+            subs = self.deletions
+            alpha_of = lambda v: alphas[subs[v]]
+            sizes_of = lambda v: sizes[subs[v]]
+        else:
+            sevens, sixes, pairs7 = self.deletions, self.sixes, _pairs(7)
+
+            def alpha_of(v):  # through an edge of G - v
+                m = sevens[v]
+                if not m:
+                    return 7
+                index = _SIX_INDEX[v]
+                a, b = pairs7[(m & -m).bit_length() - 1]
+                return max(alphas[sixes[index[a]]], alphas[sixes[index[b]]])
+
+            def sizes_of(v):  # degrees of G - v: those of G less v's row
+                if not sevens[v]:
+                    return 1 << 7
+                row, index, out = adj[v], _SIX_INDEX[v], 0
+                sub = [d - (row >> x & 1) for x, d in enumerate(degs) if x != v]
+                top = max(sub)
+                for x, d in enumerate(sub):
+                    if d == top:
+                        out |= sizes[sixes[index[x]]]
+                return out
+
+        u, w = _pairs(n)[(mask & -mask).bit_length() - 1]
+        alpha = max(alpha_of(u), alpha_of(w))
+        top = max(degs)
+        got = mdi = 0
+        for v, d in enumerate(degs):
+            if d == top:
+                got |= sizes_of(v)
+                if alpha_of(v) < alpha:
+                    mdi |= 1 << v
+        return alpha, got, mdi
+
+    @_lazy
+    def alpha(self) -> int:
+        return self._levels[0]
+
+    @_lazy
+    def maxine_sizes(self) -> int:
+        return self._levels[1]
+
+    @_lazy
+    def mdi_mask(self) -> int:
+        return self._levels[2]
 
 
 def _corpus_facts(g: Graph) -> GraphFacts:

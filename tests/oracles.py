@@ -100,6 +100,33 @@ def brute_maxine_sizes(g: Graph) -> frozenset[int]:
     return rec(frozenset(range(g.n)))
 
 
+def brute_hh_sizes(g: Graph) -> frozenset[int]:
+    """Survivor counts over every order of degree-dominating deletions:
+    a maximum-degree vertex whose neighbours' smallest degree is at least
+    its other non-neighbours' largest.  Orders that strand add nothing.
+    The plain recurrence, memoised on surviving vertex sets only."""
+    memo: dict[frozenset[int], frozenset[int]] = {}
+
+    def rec(alive: frozenset[int]) -> frozenset[int]:
+        if alive in memo:
+            return memo[alive]
+        degree = {v: sum(g.has_edge(v, u) for u in alive) for v in alive}
+        top = max(degree.values(), default=0)
+        if top == 0:
+            out = frozenset([len(alive)])
+        else:
+            out = frozenset()
+            for v in alive:
+                near = [degree[u] for u in alive if g.has_edge(v, u)]
+                far = [degree[u] for u in alive if u != v and not g.has_edge(v, u)]
+                if degree[v] == top and min(near) >= max(far, default=0):
+                    out |= rec(alive - {v})
+        memo[alive] = out
+        return out
+
+    return rec(frozenset(range(g.n)))
+
+
 def brute_graphic_sequences(n: int) -> set[tuple[int, ...]]:
     """Degree sequences realized by some labeled graph on n vertices."""
     from reslab.graphs import degree_sequence, enumerate_labeled

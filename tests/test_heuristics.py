@@ -334,3 +334,31 @@ class TestMaxineHH:
         assert maxine_hh_sizes(C4) == {2}
         fork = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
         assert maxine_hh_sizes(fork) == frozenset()
+
+    def test_hh_sizes_on_paths_and_cycles(self):
+        # at degree <= 2 the sweep memoises on component shapes
+        for k in range(1, 17):
+            assert maxine_hh_sizes(path(k)) == oracles.brute_hh_sizes(path(k)), k
+            if k >= 3:
+                assert maxine_hh_sizes(cycle(k)) == oracles.brute_hh_sizes(cycle(k)), k
+        rng = random.Random(44)
+        for _ in range(40):
+            parts = [
+                rng.choice((path, cycle))(rng.randint(3, 6)) for _ in range(rng.randint(2, 3))
+            ]
+            parts.append(path(rng.randint(0, 3)))
+            g = oracles.disjoint_union(*parts)
+            g = oracles.relabel(g, rng.sample(range(g.n), g.n))
+            assert maxine_hh_sizes(g) == oracles.brute_hh_sizes(g), g
+
+    def test_hh_sizes_match_oracle_on_seeded_graphs(self):
+        # denser graphs reach the shape-keyed states mid-sweep, several
+        # of them at one depth
+        rng = random.Random(45)
+        for _ in range(3000):
+            n = rng.randint(7, 10)
+            g = Graph.from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            assert maxine_hh_sizes(g) == oracles.brute_hh_sizes(g), g
+
+    def test_hh_sizes_finish_on_long_cycles(self):
+        assert maxine_hh_sizes(cycle(32)) == maxine_hh_sizes(path(32)) == {11}

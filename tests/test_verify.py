@@ -400,9 +400,9 @@ class TestLayerTables:
 
 
 class TestCorpusFlags:
-    """Corpus records with at most 8 vertices read C4, P5 and catalog
-    members from the labeled flag tables; the find_induced searches of
-    GraphFacts are the reference."""
+    """Corpus records with at most 8 vertices read C4, P5, catalog
+    members, alpha, the Maxine sizes and the MDI mask from the labeled
+    tables; the searches of GraphFacts are the reference."""
 
     @staticmethod
     def flags(f):
@@ -413,11 +413,19 @@ class TestCorpusFlags:
             f.has_member(False),
         )
 
+    @staticmethod
+    def levels(f):
+        return f.alpha, f.maxine_sizes, f.mdi_mask
+
     def assert_matches_search(self, g):
+        """Check the flags and levels; return the flags, which unlike the
+        MDI mask a relabeling keeps."""
         f = verify._corpus_facts(g)
         assert type(f) is verify._FlagFacts
+        ref = verify.GraphFacts(g)
         got = self.flags(f)
-        assert got == self.flags(verify.GraphFacts(g)), to_graph6(g)
+        assert got == self.flags(ref), to_graph6(g)
+        assert self.levels(f) == self.levels(ref), to_graph6(g)
         return got
 
     def test_every_corpus8_record(self):
@@ -434,6 +442,37 @@ class TestCorpusFlags:
                 self.assert_matches_search(Graph.from_mask(n, mask))
         for mask in random.Random(2027).sample(range(1 << 21), 1 << 12):
             self.assert_matches_search(Graph.from_mask(7, mask))
+
+    def test_seeded_sample_n8_and_edgeless(self):
+        for mask in random.Random(2028).sample(range(1 << 28), 1 << 12):
+            self.assert_matches_search(Graph.from_mask(8, mask))
+        for n in range(ENUM_CAP + 1):
+            f = verify._corpus_facts(empty(n))
+            assert self.levels(f) == (n, 1 << n, (1 << n) - 1)
+
+    def test_bundle_reads_no_exact_search(self, monkeypatch, tmp_path):
+        # records with at most 8 vertices take their alpha, MDI mask and
+        # Maxine sizes from the tables; larger ones still search
+        calls = []
+
+        def count(name):
+            fn = getattr(verify, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(verify, name, wrapped)
+
+        for name in ("_alpha_mask", "_mdi_mask", "_maxine_sizes"):
+            count(name)
+        reports = run_suite(CorpusSource(CORPUS8), THEOREM_CHECKS, shards=1)
+        assert all(r.scanned == 12346 and r.counterexamples == () for r in reports)
+        assert calls == []
+        corpus = tmp_path / "nine.g6"
+        corpus.write_text(to_graph6(cycle(8)) + "\n" + to_graph6(cycle(9)) + "\n")
+        run_suite(CorpusSource(str(corpus)), THEOREM_CHECKS, shards=1)
+        assert sorted(calls) == ["_alpha_mask", "_maxine_sizes", "_mdi_mask"]
 
     def test_relabeled_corpus8_records(self):
         rng = random.Random(10)
