@@ -24,7 +24,7 @@ NPAIRS = N * (N - 1) // 2
 
 
 def class_masks_numpy():
-    tables = np.array(_perm_edge_tables(N), dtype=np.int8)  # (40320, 28)
+    tables = np.array(list(_perm_edge_tables(N)), dtype=np.int8)  # (40320, 28)
     shifted = np.left_shift(np.int64(1), tables.astype(np.int64))  # bit value per slot
     seen = np.zeros(1 << NPAIRS, dtype=bool)
     chunk = 1 << 20

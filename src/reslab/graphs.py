@@ -214,20 +214,19 @@ def enumerate_labeled(n: int, cap: int = ENUM_CAP) -> Iterator[Graph]:
     return _enum_range(n, 0, 1 << len(pair_order(n)))
 
 
-def _perm_edge_tables(n: int) -> list[list[int]]:
-    """For every permutation of 0..n-1, where each edge-mask bit lands."""
+def _perm_edge_tables(n: int) -> Iterator[list[int]]:
+    """For every permutation of 0..n-1, where each edge-mask bit lands;
+    one table at a time, since n = 8 has 40,320 of them."""
     from itertools import permutations
 
     pairs = pair_order(n)
     index = {p: k for k, p in enumerate(pairs)}
-    tables = []
     for perm in permutations(range(n)):
         table = []
         for i, j in pairs:
             a, b = perm[i], perm[j]
             table.append(index[(a, b) if a < b else (b, a)])
-        tables.append(table)
-    return tables
+        yield table
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -262,7 +261,7 @@ def isomorphism_classes(n: int) -> Iterator[int]:
     if not 0 <= n <= ENUM_CAP:
         raise ValueError(f"classes limited to 0..{ENUM_CAP} vertices, got {n}")
     k = len(pair_order(n))
-    tables = _perm_edge_tables(n)
+    tables = list(_perm_edge_tables(n))
     # images[b][t]: where edge-mask bit b lands under relabeling t, so a
     # mask's whole orbit is built one bit at a time across all relabelings
     bit = [1 << b for b in range(k)]

@@ -228,13 +228,17 @@ def f_catalog(max_vertices: int, mdi_filter: bool = True) -> list[FMember]:
 
 @lru_cache(maxsize=None)
 def _catalog_cached(max_vertices: int) -> tuple[FMember, ...]:
-    out = []
-    for n in range(3, max_vertices - 2):
-        out.append(gen_f_member("A", n))
-        out.append(gen_f_member("B", n))
-        out.append(gen_f_member("C", n, "same"))
-        out.append(gen_f_member("C", n, "opposite"))
-    return tuple(out)
+    """The members up to max_vertices, extending those one vertex
+    smaller, so that each member is built once whatever bounds are asked."""
+    n = max_vertices - 3  # core size of the largest members
+    if n < 3:
+        return ()
+    return _catalog_cached(max_vertices - 1) + (
+        gen_f_member("A", n),
+        gen_f_member("B", n),
+        gen_f_member("C", n, "same"),
+        gen_f_member("C", n, "opposite"),
+    )
 
 
 @dataclass(frozen=True)
@@ -336,10 +340,6 @@ def _pattern_plan(pattern: Graph):
         for x in range(pattern.n)
     )
     return tuple(m.bit_count() for m in padj), links, pattern.edge_count
-
-
-def has_induced(host: Graph, pattern: Graph) -> bool:
-    return find_induced(host, pattern) is not None
 
 
 def has_p5_star(g: Graph) -> bool:

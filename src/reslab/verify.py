@@ -15,9 +15,9 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import islice, permutations
+from itertools import islice
 from multiprocessing import Pool
 from operator import getitem
 
@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     _bits,
     _pairs,
+    _perm_edge_tables,
     degree_sequence,
     from_graph6,
     to_graph6,
@@ -87,6 +88,8 @@ class Verdict(enum.Enum):
 
 
 _C4 = cycle(4)
+# bits of GraphFacts.flags
+_C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
 
 
 @lru_cache(maxsize=4096)
@@ -103,10 +106,58 @@ def _sequence_realization_has_hh_vertex(seq: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _catalog_upto(n: int, filtered: bool) -> tuple:
+def _catalog_upto(n: int) -> tuple:
+    """The raw catalog members with at most n vertices, each relabeled v,
+    core, u, w.  Every vertex after v then has an earlier neighbour, so an
+    induced search draws its candidates from neighbourhoods instead of
+    from the many independent triples of a sparse host."""
     if n < 6:
         return ()
-    return tuple(f_catalog(n, mdi_filter=filtered))
+    members = []
+    for m in f_catalog(n, mdi_filter=False):
+        order = (m.v_vertex, *m.core_vertices, m.u_vertex, m.w_vertex)
+        new = {x: i for i, x in enumerate(order)}
+        g = Graph(m.graph.n, [(new[a], new[b]) for a, b in m.graph.edges()])
+        roles = {new[x]: role for x, role in m.roles.items()}
+        members.append(replace(m, graph=g, roles=roles))
+    return tuple(members)
+
+
+@lru_cache(maxsize=64)
+def _flagged_patterns(n: int) -> tuple[tuple[Graph, int, int], ...]:
+    """(pattern, flag, edge count) of C4, P5 and then the catalog members
+    with at most n vertices, from one catalog build; a member is flagged
+    raw and, if it passes its own MDI test, filtered."""
+    members = [
+        (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
+        for m in _catalog_upto(n)
+    ]
+    return tuple(
+        (g, flag, g.edge_count)
+        for g, flag in [(_C4, _C4_FLAG), (_P5, _P5_FLAG), *members]
+    )
+
+
+@lru_cache(maxsize=None)
+def _spanning_patterns(k: int) -> tuple[tuple[Graph, int, int], ...]:
+    """The _flagged_patterns(k) with exactly k vertices."""
+    return tuple(p for p in _flagged_patterns(k) if p[0].n == k)
+
+
+def _searched_flags(g: Graph, patterns, out: int = 0) -> int:
+    """`out` with the flag added of each (pattern, flag, edge count) of
+    `patterns` that g holds induced.  A flag already set is not searched
+    for again, nor a pattern with as many vertices as g and another edge
+    count, which cannot be a relabeling of g."""
+    edges = g.edge_count
+    for pattern, flag, pattern_edges in patterns:
+        if (
+            flag & ~out
+            and (pattern.n < g.n or pattern_edges == edges)
+            and find_induced(g, pattern) is not None
+        ):
+            out |= flag
+    return out
 
 
 class _lazy:
@@ -130,8 +181,6 @@ class GraphFacts:
     def __init__(self, g: Graph):
         self.n = g.n
         self.graph = g
-        self._patterns: dict[Graph, bool] = {}
-        self._members: dict[bool, bool] = {}
         self._pipelines: dict[int, tuple[Graph, int, int]] = {}
 
     @_lazy
@@ -183,30 +232,20 @@ class GraphFacts:
         except NoHHVertexError:
             return None
 
-    def has_pattern(self, pattern: Graph) -> bool:
-        hit = self._patterns.get(pattern)
-        if hit is None:
-            hit = find_induced(self.graph, pattern) is not None
-            self._patterns[pattern] = hit
-        return hit
-
-    def has_member(self, filtered: bool) -> bool:
-        """Whether some catalog member (filtered or raw) is induced.
+    @_lazy
+    def flags(self) -> int:
+        """Which of C4, P5, a filtered catalog member and a raw member
+        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG.
 
         Every member holds an induced C4 (u and v are non-adjacent with
         two non-adjacent common neighbours in the core), so a C4-free
         host is answered without a catalog search.
         """
-        hit = self._members.get(filtered)
-        if hit is None:
-            members = _catalog_upto(self.n, filtered)
-            hit = (
-                bool(members)
-                and self.has_pattern(_C4)
-                and any(self.has_pattern(m.graph) for m in members)
-            )
-            self._members[filtered] = hit
-        return hit
+        c4, p5, *members = _flagged_patterns(self.n)
+        out = _searched_flags(self.graph, (c4, p5))
+        if out & _C4_FLAG:
+            out = _searched_flags(self.graph, members, out)
+        return out
 
     def pipeline(self, v: int) -> tuple[Graph, int, int]:
         """(g2, v2, iset): the reduced graph, where v lands in it, and its
@@ -245,13 +284,13 @@ def _ck_realization(f: GraphFacts) -> Verdict:
 
 
 def _ck_thm_bm(f: GraphFacts) -> Verdict:
-    if f.has_pattern(_C4) or f.has_pattern(_P5):
+    if f.flags & (_C4_FLAG | _P5_FLAG):
         return Verdict.NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
 
 def _ck_corollary(f: GraphFacts) -> Verdict:
-    if f.has_pattern(_P5) or f.has_member(True):
+    if f.flags & (_P5_FLAG | _MEMBER_FLAG):
         return Verdict.NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
@@ -301,7 +340,7 @@ def _anchored_member_found(g2: Graph, v2: int, iset: int) -> bool:
     if len(others) != 2:
         return False
     a, b = others
-    for m in _catalog_upto(g2.n, False):
+    for m in _catalog_upto(g2.n):
         for ux, wx in ((a, b), (b, a)):
             anchor = {m.v_vertex: v2, m.u_vertex: ux, m.w_vertex: wx}
             if find_induced(g2, m.graph, anchor=anchor) is not None:
@@ -317,7 +356,7 @@ def _ck_structure_a3(f: GraphFacts) -> Verdict:
     anchored = all(
         _anchored_member_found(*f.pipeline(v)) for v in _bits(f.mdi_mask)
     )
-    return _passfail(f.has_member(False) and anchored)
+    return _passfail(bool(f.flags & _RAW_MEMBER_FLAG) and anchored)
 
 
 def _ck_structure_gt3(f: GraphFacts) -> Verdict:
@@ -325,7 +364,7 @@ def _ck_structure_gt3(f: GraphFacts) -> Verdict:
         return Verdict.NOT_APPLICABLE
     if f.edge_count == 0:
         return Verdict.PASS
-    return _passfail(f.has_member(False))
+    return _passfail(bool(f.flags & _RAW_MEMBER_FLAG))
 
 
 def _ck_f_members(f: GraphFacts) -> Verdict:
@@ -498,17 +537,14 @@ def _decode(records, skipped: list):
 #   some v, so it lies in G - v; one with as many is a relabeling of G.
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
 # vertex MDI, and a guided run that deletes nothing.  Corpus records with
-# at most 8 vertices read C4, P5 and catalog-member presence from the
-# same flag tables, through their 6- and 7-vertex induced subgraphs, and
-# alpha, the Maxine sizes and the MDI mask through the same deletions:
-# one into _level(n - 1) up to 7 vertices, two into _level(6) at 8, where
-# the degrees of G - v are those of G less v's row.
+# at most 7 vertices are scanned as the labeled graph of their edge mask.
+# An 8-vertex record reads C4, P5 and catalog-member presence from the
+# same flag tables through its 6- and 7-vertex induced subgraphs, and
+# alpha, the Maxine sizes and the MDI mask through two deletions into
+# _level(6), the degrees of G - v being those of G less v's row.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
-# bits of _FlagFacts.flags
-_C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
-_PATTERN_FLAGS = {_C4: _C4_FLAG, _P5: _P5_FLAG}
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +642,7 @@ def _hh_level(k: int) -> bytearray:
 
 @lru_cache(maxsize=None)
 def _flag_level(k: int) -> bytearray:
-    """_FlagFacts.flags of every labeled k-vertex graph, by edge mask: the
+    """The flags of every labeled k-vertex graph, by edge mask: the
     OR of the entries one level down over the deletions G - v, plus the
     relabeling bit of a pattern with exactly k vertices."""
     flags = [0] * (1 << len(_pairs(k)))
@@ -623,35 +659,16 @@ def _flag_level(k: int) -> bytearray:
 
 
 @lru_cache(maxsize=None)
-def _flagged_patterns(k: int) -> tuple[tuple[Graph, int, int], ...]:
-    """(pattern, flag, edge count) of C4, P5 and the catalog members with
-    exactly k vertices; a member is flagged raw and, if it passes its own
-    MDI test, filtered."""
-    members = [
-        (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
-        for m in _catalog_upto(k, False)
-    ]
-    return tuple(
-        (g, flag, g.edge_count)
-        for g, flag in [*_PATTERN_FLAGS.items(), *members]
-        if g.n == k
-    )
-
-
-@lru_cache(maxsize=None)
 def _relabeled_flags(k: int) -> dict[int, int]:
     """Flags of the k-vertex edge masks that relabel a flagged pattern
     with exactly k vertices, OR-ed over those patterns."""
+    patterns = [(list(_bits(g.mask())), flag) for g, flag, _ in _spanning_patterns(k)]
     out: dict[int, int] = {}
-    for pattern, flag, _ in _flagged_patterns(k):
-        edges = list(pattern.edges())
-        for perm in permutations(range(k)):
+    for table in _perm_edge_tables(k):
+        for bits, flag in patterns:
             image = 0
-            for i, j in edges:
-                a, b = perm[i], perm[j]
-                if a > b:
-                    a, b = b, a
-                image |= 1 << (b * (b - 1) // 2 + a)  # pair (a, b) of pair_order
+            for b in bits:
+                image |= 1 << table[b]
             out[image] = out.get(image, 0) | flag
     return out
 
@@ -665,10 +682,10 @@ _SIX_INDEX = [
 
 
 class _FlagFacts(GraphFacts):
-    """GraphFacts of a graph with at most ENUM_CAP vertices, read from the
-    labeled tables through its induced subgraphs instead of searched:
-    alpha, the Maxine sizes and the MDI mask from _level, and C4, P5 and
-    catalog-member presence from one flags byte."""
+    """GraphFacts of an 8-vertex graph, read from the 6-vertex tables
+    through its induced subgraphs instead of searched: alpha, the Maxine
+    sizes and the MDI mask from _level(6), and C4, P5 and catalog-member
+    presence from the flags byte."""
 
     @_lazy
     def mask(self) -> int:
@@ -676,21 +693,15 @@ class _FlagFacts(GraphFacts):
 
     @_lazy
     def deletions(self) -> list[int]:
-        """The edge mask of G - v for each vertex v, over pair_order(n - 1)."""
-        mask, rows = self.mask, _chunk_tables(self.n)[1]
-        if self.n == 8:  # the four 7-bit chunks of the 28-bit mask
-            x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
-            return [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in rows]
-        xs = [mask >> _CHUNK * c & _CHUNK_MASK for c in range(3)]  # map stops early
-        return [sum(map(getitem, row, xs)) for row in rows]
+        """The edge mask of G - v for each vertex v, over pair_order(7)."""
+        mask = self.mask  # the four 7-bit chunks of the 28-bit mask
+        x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
+        return [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in _chunk_tables(8)[1]]
 
     @_lazy
     def sixes(self) -> list[int]:
-        """The edge masks of the 6-vertex induced subgraphs, each once, of a
-        graph with 7 or 8 vertices; at 8, G - v - x for the pair (v, x) at
-        its position in pair_order(8)."""
-        if self.n == 7:
-            return self.deletions
+        """The edge masks of the 6-vertex induced subgraphs, each once:
+        G - v - x for the pair (v, x) at its position in pair_order(8)."""
         sub7 = _chunk_tables(7)[1]
         ys = [(m & 127, m >> 7 & 127, m >> 14) for m in self.deletions]
         return [
@@ -701,80 +712,51 @@ class _FlagFacts(GraphFacts):
 
     @_lazy
     def flags(self) -> int:
-        """Which of C4, P5, a filtered catalog member and a raw member
-        G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG.
-
-        Up to 6 vertices it is the graph's own entry of _flag_level.
-        Otherwise each 7-vertex induced subgraph gives its relabeling bit,
-        and each 6-vertex one its _flag_level(6) entry.  An 8-vertex
-        member can only be a relabeling of G, so it is searched for only
-        when its edge count is G's."""
-        n, mask = self.n, self.mask
-        if n <= 6:
-            return _flag_level(n)[mask]
+        """Each 7-vertex induced subgraph gives its relabeling bit, and
+        each 6-vertex one its _flag_level(6) entry.  An 8-vertex member
+        can only be a relabeling of G, so it is searched for only when its
+        edge count is G's."""
         seven, six = _relabeled_flags(7), _flag_level(6)
         out = 0
-        for m in self.deletions if n == 8 else (mask,):
+        for m in self.deletions:
             out |= seven.get(m, 0)
         for m in self.sixes:
             out |= six[m]
-        if n == 8 and out & _C4_FLAG:  # every catalog member holds an induced C4
-            edges = mask.bit_count()
-            for pattern, flag, pattern_edges in _flagged_patterns(8):
-                if (
-                    flag & ~out
-                    and pattern_edges == edges
-                    and find_induced(self.graph, pattern) is not None
-                ):
-                    out |= flag
+        if out & _C4_FLAG:  # every catalog member holds an induced C4
+            out = _searched_flags(self.graph, _spanning_patterns(8), out)
         return out
-
-    def has_pattern(self, pattern: Graph) -> bool:
-        flag = _PATTERN_FLAGS.get(pattern)
-        if flag is None:
-            return super().has_pattern(pattern)
-        return bool(self.flags & flag)
-
-    def has_member(self, filtered: bool) -> bool:
-        return bool(self.flags & (_MEMBER_FLAG if filtered else _RAW_MEMBER_FLAG))
 
     @_lazy
     def _levels(self) -> tuple[int, int, int]:
         """(alpha, Maxine sizes, MDI mask) by the rules of the "Labeled
-        scans" comment, from alpha and the sizes of each G - v: one
-        deletion into _level(n - 1) up to 7 vertices, two into _level(6)
-        at 8."""
+        scans" comment, from alpha and the sizes of each G - v, each read
+        through a second deletion into _level(6)."""
         n, mask = self.n, self.mask
         if not mask:
             return n, 1 << n, (1 << n) - 1
         adj = self.graph.adj
         degs = [a.bit_count() for a in adj]
-        alphas, sizes = _level(min(n - 1, 6))
-        if n <= 7:
-            subs = self.deletions
-            alpha_of = lambda v: alphas[subs[v]]
-            sizes_of = lambda v: sizes[subs[v]]
-        else:
-            sevens, sixes, pairs7 = self.deletions, self.sixes, _pairs(7)
+        alphas, sizes = _level(6)
+        sevens, sixes, pairs7 = self.deletions, self.sixes, _pairs(7)
 
-            def alpha_of(v):  # through an edge of G - v
-                m = sevens[v]
-                if not m:
-                    return 7
-                index = _SIX_INDEX[v]
-                a, b = pairs7[(m & -m).bit_length() - 1]
-                return max(alphas[sixes[index[a]]], alphas[sixes[index[b]]])
+        def alpha_of(v):  # through an edge of G - v
+            m = sevens[v]
+            if not m:
+                return 7
+            index = _SIX_INDEX[v]
+            a, b = pairs7[(m & -m).bit_length() - 1]
+            return max(alphas[sixes[index[a]]], alphas[sixes[index[b]]])
 
-            def sizes_of(v):  # degrees of G - v: those of G less v's row
-                if not sevens[v]:
-                    return 1 << 7
-                row, index, out = adj[v], _SIX_INDEX[v], 0
-                sub = [d - (row >> x & 1) for x, d in enumerate(degs) if x != v]
-                top = max(sub)
-                for x, d in enumerate(sub):
-                    if d == top:
-                        out |= sizes[sixes[index[x]]]
-                return out
+        def sizes_of(v):  # degrees of G - v: those of G less v's row
+            if not sevens[v]:
+                return 1 << 7
+            row, index, out = adj[v], _SIX_INDEX[v], 0
+            sub = [d - (row >> x & 1) for x, d in enumerate(degs) if x != v]
+            top = max(sub)
+            for x, d in enumerate(sub):
+                if d == top:
+                    out |= sizes[sixes[index[x]]]
+            return out
 
         u, w = _pairs(n)[(mask & -mask).bit_length() - 1]
         alpha = max(alpha_of(u), alpha_of(w))
@@ -801,10 +783,18 @@ class _FlagFacts(GraphFacts):
 
 
 def _corpus_facts(g: Graph) -> GraphFacts:
-    return _FlagFacts(g) if g.n <= ENUM_CAP else GraphFacts(g)
+    """The facts of a decoded corpus record, by the path its vertex count
+    takes: the labeled tables up to 7 vertices, _FlagFacts at 8 and the
+    per-graph searches of GraphFacts beyond."""
+    if g.n < ENUM_CAP:
+        mask = g.mask()
+        (f,) = _layer_facts(g.n, mask, mask + 1)
+        f.graph = g  # counterexamples echo the record
+        return f
+    return _FlagFacts(g) if g.n == ENUM_CAP else GraphFacts(g)
 
 
-class _LayerFacts(_FlagFacts):
+class _LayerFacts(GraphFacts):
     """GraphFacts of a labeled graph given by its edge mask, seeded from
     the tables; `graph` is built only when a check asks for it."""
 
@@ -818,7 +808,6 @@ class _LayerFacts(_FlagFacts):
         self.residue = degclass[2]
         self._high_subs = high_subs
         self._packed = packed  # degree vector, see _chunk_tables
-        self._patterns = {}
         self._pipelines = {}
 
     @_lazy

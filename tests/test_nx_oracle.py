@@ -12,7 +12,7 @@ nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
 from reslab import verify  # noqa: E402
-from reslab.graphs import from_graph6, pair_order  # noqa: E402
+from reslab.graphs import Graph, from_graph6, pair_order, to_graph6  # noqa: E402
 from reslab.patterns import f_catalog  # noqa: E402
 
 
@@ -63,12 +63,8 @@ def nx_flags(host, members) -> tuple:
 
 
 def reslab_flags(f) -> tuple:
-    return (
-        f.has_pattern(verify._C4),
-        f.has_pattern(verify._P5),
-        f.has_member(True),
-        f.has_member(False),
-    )
+    bits = (verify._C4_FLAG, verify._P5_FLAG, verify._MEMBER_FLAG, verify._RAW_MEMBER_FLAG)
+    return tuple(bool(f.flags & bit) for bit in bits)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -89,3 +85,27 @@ def test_corpus8_flags_match_networkx():
         g = from_graph6(record)
         f = verify._corpus_facts(g)
         assert reslab_flags(f) == nx_flags(nx_graph(g.n, g.edges()), members), record
+
+
+def test_graph_facts_flags_match_networkx():
+    # the per-graph search path: the 9-vertex catalog members, relabelings
+    # of them, and seeded 9-vertex graphs of three densities
+    members = catalog(9)
+    rng = random.Random(1009)
+    hosts = []
+    for m in f_catalog(9, mdi_filter=False):
+        if m.graph.n == 9:
+            hosts.append(m.graph)
+            for _ in range(3):
+                perm = rng.sample(range(9), 9)
+                hosts.append(Graph(9, [(perm[u], perm[v]) for u, v in m.graph.edges()]))
+    for _ in range(50):
+        p = rng.choice((0.25, 0.5, 0.75))
+        hosts.append(Graph(9, [e for e in pair_order(9) if rng.random() < p]))
+    seen = []
+    for g in hosts:
+        got = reslab_flags(verify.GraphFacts(g))
+        assert got == nx_flags(nx_graph(9, g.edges()), members), to_graph6(g)
+        seen.append(got)
+    # every flag is seen both set and clear
+    assert all(0 < sum(col) < len(seen) for col in zip(*seen))

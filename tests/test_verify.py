@@ -8,7 +8,7 @@ import pytest
 
 from reslab import independence, verify
 from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
-from reslab.patterns import cycle, empty, gen_f_member, path
+from reslab.patterns import complete, cycle, empty, f_catalog, gen_f_member, path
 from reslab.verify import (
     CHECK_DESCRIPTIONS,
     CheckId,
@@ -29,6 +29,17 @@ FORK = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])  # no HH vertex
 ALL_CHECKS = list(CheckId)
 CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 THEOREM_CHECKS = [c for c in ALL_CHECKS if c is not CheckId.F_MEMBERS_ARE_MDI]
+# GraphFacts.flags bits: C4, P5, a filtered catalog member, a raw member
+FLAG_BITS = (
+    verify._C4_FLAG,
+    verify._P5_FLAG,
+    verify._MEMBER_FLAG,
+    verify._RAW_MEMBER_FLAG,
+)
+
+
+def flag_bits(f) -> tuple[bool, ...]:
+    return tuple(bool(f.flags & bit) for bit in FLAG_BITS)
 
 
 class TestCheckIds:
@@ -272,10 +283,7 @@ class TestLayerTables:
             f.mdi_mask,
             f.degrees,
             f.edge_count,
-            f.has_pattern(C4),
-            f.has_pattern(P5),
-            f.has_member(True),
-            f.has_member(False),
+            *flag_bits(f),
             f.hh_size,
         )
         want = (
@@ -285,10 +293,7 @@ class TestLayerTables:
             ref.mdi_mask,
             ref.degrees,
             ref.edge_count,
-            ref.has_pattern(C4),
-            ref.has_pattern(P5),
-            ref.has_member(True),
-            ref.has_member(False),
+            *flag_bits(ref),
             ref.hh_size,
         )
         assert got == want, (f.n, f.mask)
@@ -343,7 +348,7 @@ class TestLayerTables:
             CheckId.THM_BM_C4P5,
             CheckId.COROLLARY_F_P5,
         ]
-        verify._catalog_upto(6, False)  # the catalog's own graphs, built once
+        verify._catalog_upto(6)  # the catalog's own graphs, built once
         built = self.count_builds(monkeypatch)
         reports = run_suite(EnumerationSource(6), checks, shards=1)
         assert [r.applicable for r in reports] == [32768, 32768, 25198, 14338, 24428]
@@ -375,7 +380,7 @@ class TestLayerTables:
     def test_reduction_checks_reuse_alpha_and_skip_copies(self, monkeypatch):
         # the scan's alpha serves every stage, and at n <= 6 both
         # reductions keep every vertex, so no stage copies the graph
-        verify._catalog_upto(6, False)  # its members' own MDI tests, once
+        verify._catalog_upto(6)  # its members' own MDI tests, once
         calls = []
 
         def counting(name, fn):
@@ -406,12 +411,7 @@ class TestCorpusFlags:
 
     @staticmethod
     def flags(f):
-        return (
-            f.has_pattern(C4),
-            f.has_pattern(P5),
-            f.has_member(True),
-            f.has_member(False),
-        )
+        return flag_bits(f)
 
     @staticmethod
     def levels(f):
@@ -421,7 +421,7 @@ class TestCorpusFlags:
         """Check the flags and levels; return the flags, which unlike the
         MDI mask a relabeling keeps."""
         f = verify._corpus_facts(g)
-        assert type(f) is verify._FlagFacts
+        assert type(f) is (verify._FlagFacts if g.n == 8 else verify._LayerFacts)
         ref = verify.GraphFacts(g)
         got = self.flags(f)
         assert got == self.flags(ref), to_graph6(g)
@@ -485,6 +485,43 @@ class TestCorpusFlags:
                 perm = rng.sample(range(g.n), g.n)
                 h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
                 assert self.assert_matches_search(h) == base, (record, perm)
+
+    def test_facts_class_follows_vertex_count(self):
+        # the labeled tables up to 7 vertices, two deletions into the
+        # 6-vertex tables at 8, the per-graph searches beyond
+        want = {n: verify._LayerFacts for n in range(8)}
+        want.update({8: verify._FlagFacts, 9: verify.GraphFacts, 12: verify.GraphFacts})
+        for n, cls in want.items():
+            for g in (empty(n), complete(n)):
+                f = verify._corpus_facts(g)
+                assert type(f) is cls, n
+                assert f.graph is g, n  # counterexamples echo the record
+
+    def test_labeled_path_matches_per_graph(self):
+        # every fact the labeled scan is held to, the guided run included
+        for n in range(7):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                f = verify._corpus_facts(Graph.from_mask(n, mask))
+                TestLayerTables.assert_matches_per_graph(f)
+        for mask in random.Random(2029).sample(range(1 << 21), 1 << 12):
+            f = verify._corpus_facts(Graph.from_mask(7, mask))
+            TestLayerTables.assert_matches_per_graph(f)
+
+    def test_flags_search_builds_the_catalog_once(self, monkeypatch):
+        # a 9-vertex host holding C4 is searched for the members of 6 to 9
+        # vertices from one catalog build for its own size
+        builds = []
+
+        def counting(n, mdi_filter=True):
+            builds.append((n, mdi_filter))
+            return f_catalog(n, mdi_filter)
+
+        monkeypatch.setattr(verify, "f_catalog", counting)
+        verify._catalog_upto.cache_clear()
+        verify._flagged_patterns.cache_clear()
+        f = verify.GraphFacts(gen_f_member("C", 6, "opposite").graph)
+        assert f.flags & verify._C4_FLAG and f.flags & verify._RAW_MEMBER_FLAG
+        assert builds == [(9, False)]
 
     def test_records_over_eight_vertices_search(self):
         assert type(verify._corpus_facts(empty(9))) is verify.GraphFacts
