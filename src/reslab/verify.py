@@ -90,6 +90,8 @@ class Verdict(enum.Enum):
 _C4 = cycle(4)
 # bits of GraphFacts.flags
 _C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
+# (pattern, flag, edge count) of the flagged patterns outside the catalog
+_C4_ENTRY, _P5_ENTRY = (_C4, _C4_FLAG, 4), (_P5, _P5_FLAG, 4)
 
 
 @lru_cache(maxsize=4096)
@@ -132,10 +134,7 @@ def _flagged_patterns(n: int) -> tuple[tuple[Graph, int, int], ...]:
         (m.graph, _RAW_MEMBER_FLAG | (_MEMBER_FLAG if m.mdi_verified else 0))
         for m in _catalog_upto(n)
     ]
-    return tuple(
-        (g, flag, g.edge_count)
-        for g, flag in [(_C4, _C4_FLAG), (_P5, _P5_FLAG), *members]
-    )
+    return (_C4_ENTRY, _P5_ENTRY, *((g, flag, g.edge_count) for g, flag in members))
 
 
 @lru_cache(maxsize=None)
@@ -149,11 +148,10 @@ def _searched_flags(g: Graph, patterns, out: int = 0) -> int:
     `patterns` that g holds induced.  A flag already set is not searched
     for again, nor a pattern with as many vertices as g and another edge
     count, which cannot be a relabeling of g."""
-    edges = g.edge_count
     for pattern, flag, pattern_edges in patterns:
         if (
             flag & ~out
-            and (pattern.n < g.n or pattern_edges == edges)
+            and (pattern.n < g.n or pattern_edges == g.edge_count)
             and find_induced(g, pattern) is not None
         ):
             out |= flag
@@ -233,6 +231,16 @@ class GraphFacts:
             return None
 
     @_lazy
+    def c4(self) -> int:
+        """The C4 bit of flags, searched without the catalog; the table
+        subclasses read it, and the P5 bit, from their flags byte."""
+        return _searched_flags(self.graph, [_C4_ENTRY])
+
+    @_lazy
+    def p5(self) -> int:
+        return _searched_flags(self.graph, [_P5_ENTRY])
+
+    @_lazy
     def flags(self) -> int:
         """Which of C4, P5, a filtered catalog member and a raw member
         G holds induced, as the bits _C4_FLAG .. _RAW_MEMBER_FLAG.
@@ -241,10 +249,9 @@ class GraphFacts:
         two non-adjacent common neighbours in the core), so a C4-free
         host is answered without a catalog search.
         """
-        c4, p5, *members = _flagged_patterns(self.n)
-        out = _searched_flags(self.graph, (c4, p5))
+        out = self.c4 | self.p5
         if out & _C4_FLAG:
-            out = _searched_flags(self.graph, members, out)
+            out = _searched_flags(self.graph, _flagged_patterns(self.n)[2:], out)
         return out
 
     def pipeline(self, v: int) -> tuple[Graph, int, int]:
@@ -284,13 +291,13 @@ def _ck_realization(f: GraphFacts) -> Verdict:
 
 
 def _ck_thm_bm(f: GraphFacts) -> Verdict:
-    if f.flags & (_C4_FLAG | _P5_FLAG):
+    if f.c4 or f.p5:
         return Verdict.NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
 
 def _ck_corollary(f: GraphFacts) -> Verdict:
-    if f.flags & (_P5_FLAG | _MEMBER_FLAG):
+    if f.p5 or f.flags & _MEMBER_FLAG:
         return Verdict.NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
@@ -537,7 +544,7 @@ def _decode(records, skipped: list):
 #   some v, so it lies in G - v; one with as many is a relabeling of G.
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
 # vertex MDI, and a guided run that deletes nothing.  Corpus records with
-# at most 7 vertices are scanned as the labeled graph of their edge mask.
+# at most 6 vertices are scanned as the labeled graph of their edge mask.
 # An 8-vertex record reads C4, P5 and catalog-member presence from the
 # same flag tables through its 6- and 7-vertex induced subgraphs, and
 # alpha, the Maxine sizes and the MDI mask through two deletions into
@@ -726,6 +733,9 @@ class _FlagFacts(GraphFacts):
             out = _searched_flags(self.graph, _spanning_patterns(8), out)
         return out
 
+    c4 = property(lambda self: self.flags & _C4_FLAG)
+    p5 = property(lambda self: self.flags & _P5_FLAG)
+
     @_lazy
     def _levels(self) -> tuple[int, int, int]:
         """(alpha, Maxine sizes, MDI mask) by the rules of the "Labeled
@@ -784,9 +794,10 @@ class _FlagFacts(GraphFacts):
 
 def _corpus_facts(g: Graph) -> GraphFacts:
     """The facts of a decoded corpus record, by the path its vertex count
-    takes: the labeled tables up to 7 vertices, _FlagFacts at 8 and the
-    per-graph searches of GraphFacts beyond."""
-    if g.n < ENUM_CAP:
+    takes: the labeled tables up to 6 vertices, _FlagFacts at 8 and the
+    per-graph searches of GraphFacts otherwise, which at 7 beat building
+    the 7-vertex tables even on a corpus of all 1,044 classes."""
+    if g.n < ENUM_CAP - 1:
         mask = g.mask()
         (f,) = _layer_facts(g.n, mask, mask + 1)
         f.graph = g  # counterexamples echo the record
@@ -837,6 +848,9 @@ class _LayerFacts(GraphFacts):
                     code = _hh_level(n - 1)[self._high_subs[v] | sub[v][0][chunks[0]]]
                     return code - 1 if code else None
         return None
+
+    c4 = property(lambda self: self.flags & _C4_FLAG)
+    p5 = property(lambda self: self.flags & _P5_FLAG)
 
     @_lazy
     def flags(self) -> int:
@@ -952,25 +966,19 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
     t0 = time.perf_counter()
     partials, bad = _scan(source, check_list, shards)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
-    reports = []
-    for c in check_list:
-        scanned = sum(p[0] for p in partials)
-        applicable = sum(p[1][c] for p in partials)
-        fails: list[str] = []
-        for p in partials:
-            fails.extend(p[2][c])
-        reports.append(
-            VerifyReport(
-                check=c,
-                source=source.describe(),
-                scanned=scanned,
-                applicable=applicable,
-                counterexamples=tuple(sorted(fails)),
-                skipped_records=len(bad),
-                elapsed_ms=elapsed_ms,
-            )
+    scanned = sum(p[0] for p in partials)
+    return [
+        VerifyReport(
+            check=c,
+            source=source.describe(),
+            scanned=scanned,
+            applicable=sum(p[1][c] for p in partials),
+            counterexamples=tuple(sorted(x for p in partials for x in p[2][c])),
+            skipped_records=len(bad),
+            elapsed_ms=elapsed_ms,
         )
-    return reports
+        for c in check_list
+    ]
 
 
 def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:

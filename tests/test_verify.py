@@ -8,7 +8,15 @@ import pytest
 
 from reslab import independence, verify
 from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
-from reslab.patterns import complete, cycle, empty, f_catalog, gen_f_member, path
+from reslab.patterns import (
+    complete,
+    cycle,
+    empty,
+    f_catalog,
+    find_induced,
+    gen_f_member,
+    path,
+)
 from reslab.verify import (
     CHECK_DESCRIPTIONS,
     CheckId,
@@ -40,6 +48,13 @@ FLAG_BITS = (
 
 def flag_bits(f) -> tuple[bool, ...]:
     return tuple(bool(f.flags & bit) for bit in FLAG_BITS)
+
+
+def corpus_facts_class(n: int) -> type:
+    """The facts class a corpus record with n vertices is scanned with."""
+    if n < 7:
+        return verify._LayerFacts
+    return verify._FlagFacts if n == 8 else verify.GraphFacts
 
 
 class TestCheckIds:
@@ -421,7 +436,7 @@ class TestCorpusFlags:
         """Check the flags and levels; return the flags, which unlike the
         MDI mask a relabeling keeps."""
         f = verify._corpus_facts(g)
-        assert type(f) is (verify._FlagFacts if g.n == 8 else verify._LayerFacts)
+        assert type(f) is corpus_facts_class(g.n)
         ref = verify.GraphFacts(g)
         got = self.flags(f)
         assert got == self.flags(ref), to_graph6(g)
@@ -487,11 +502,13 @@ class TestCorpusFlags:
                 assert self.assert_matches_search(h) == base, (record, perm)
 
     def test_facts_class_follows_vertex_count(self):
-        # the labeled tables up to 7 vertices, two deletions into the
-        # 6-vertex tables at 8, the per-graph searches beyond
-        want = {n: verify._LayerFacts for n in range(8)}
-        want.update({8: verify._FlagFacts, 9: verify.GraphFacts, 12: verify.GraphFacts})
+        # the labeled tables up to 6 vertices, two deletions into the
+        # 6-vertex tables at 8, the per-graph searches at 7 and beyond 8
+        want = {n: verify._LayerFacts for n in range(7)}
+        want.update({7: verify.GraphFacts, 8: verify._FlagFacts})
+        want.update({9: verify.GraphFacts, 12: verify.GraphFacts})
         for n, cls in want.items():
+            assert corpus_facts_class(n) is cls, n
             for g in (empty(n), complete(n)):
                 f = verify._corpus_facts(g)
                 assert type(f) is cls, n
@@ -503,9 +520,6 @@ class TestCorpusFlags:
             for mask in range(1 << (n * (n - 1) // 2)):
                 f = verify._corpus_facts(Graph.from_mask(n, mask))
                 TestLayerTables.assert_matches_per_graph(f)
-        for mask in random.Random(2029).sample(range(1 << 21), 1 << 12):
-            f = verify._corpus_facts(Graph.from_mask(7, mask))
-            TestLayerTables.assert_matches_per_graph(f)
 
     def test_flags_search_builds_the_catalog_once(self, monkeypatch):
         # a 9-vertex host holding C4 is searched for the members of 6 to 9
@@ -522,6 +536,33 @@ class TestCorpusFlags:
         f = verify.GraphFacts(gen_f_member("C", 6, "opposite").graph)
         assert f.flags & verify._C4_FLAG and f.flags & verify._RAW_MEMBER_FLAG
         assert builds == [(9, False)]
+
+    @pytest.mark.parametrize(
+        "g, check, want",
+        [
+            (gen_f_member("C", 6, "opposite").graph, "thm_bm_c4p5", [C4]),
+            (cycle(9), "thm_bm_c4p5", [C4, P5]),
+            (cycle(9), "corollary_f_p5", [P5]),
+        ],
+    )
+    def test_c4_p5_checks_stop_at_first_hit(self, monkeypatch, g, check, want):
+        # thm_bm and the corollary read the C4 and P5 bits alone, so the
+        # per-graph path stops at the first pattern found, with no catalog
+        searched = []
+
+        def counting(host, pattern, **kwargs):
+            searched.append(pattern)
+            return find_induced(host, pattern, **kwargs)
+
+        def no_catalog(*args):
+            raise AssertionError("catalog built")
+
+        monkeypatch.setattr(verify, "find_induced", counting)
+        monkeypatch.setattr(verify, "f_catalog", no_catalog)
+        verify._catalog_upto.cache_clear()
+        verify._flagged_patterns.cache_clear()
+        assert check_one(g, check) is Verdict.NOT_APPLICABLE
+        assert searched == want
 
     def test_records_over_eight_vertices_search(self):
         assert type(verify._corpus_facts(empty(9))) is verify.GraphFacts
