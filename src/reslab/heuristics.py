@@ -14,12 +14,20 @@ since the degree of the deleted vertex never increases along a run,
 any choice of per-component runs merges into one global run by always
 taking the largest degree next.  Deleting any vertex of the cycle C_k
 (k >= 3) leaves the path P_{k-1}, and deleting the interior vertex i+1
-of P_k leaves P_i + P_{k-1-i}, so with S(P_0) = {0} and
-S(P_1) = S(P_2) = {1}:
+of P_k leaves P_i + P_{k-1-i}, so with S(P_1) = S(P_2) = {1}:
 
     S(C_k) = S(P_{k-1}),  S(P_k) = U_{i=1..k-2} S(P_i) + S(P_{k-1-i}).
 
-These depend on k alone and are kept in a table grown on demand.
+Each is an interval: for k >= 1, S(P_k) = [L(k), H(k)] with
+L(k) = floor(k/3) + 1 = ceil((k+1)/3) and H(k) = ceil(k/2) =
+floor((k+1)/2).  By induction on k >= 3, the term at i of the union is
+the interval [L(i) + L(j), H(i) + H(j)], j = k-1-i.  Its top is at most
+(i+1)/2 + (j+1)/2 = (k+1)/2 and its bottom at least (i+1)/3 + (j+1)/3 =
+(k+1)/3, so every term lies in [L(k), H(k)].  The term at i = 1 runs
+from L(k-2) + 1 to H(k), and the term at i = 2 from L(k) to H(k-3) + 1;
+since L(k-2) <= H(k-3) + 1 the two leave no gap (at k = 3 the first
+alone is {2}).  A sumset of intervals is the interval of the summed
+ends, so a union of paths and cycles takes one pass over its components.
 
 Above degree 2 the sweep takes a whole phase per step.  Let d >= 3 be
 the maximum degree and T the vertices of degree d.  A vertex outside T
@@ -31,8 +39,18 @@ order, and the phase ends exactly when that set is maximal in G[T]:
 
 At d = 3 every child G - I is paths and cycles: a vertex of T is in I or
 loses a neighbour to it, and no vertex gains degree.  So the children go
-straight to the sumset above, their degree-2 vertices read off from
+straight to the intervals above, their degree-2 vertices read off from
 those of G and from how many neighbours each vertex of T has in I.
+
+Most of those children need no walk.  With n vertices, e edges and
+s = |I|, the child has n - s vertices and e - 3s edges, since I is
+independent and each of its vertices had degree 3.  A path P_k has
+k - 1 edges and a cycle k, so the child has p = n - e + 2s paths.
+L(k) >= (k+1)/3 and H(k) <= (k+1)/2 on a path, and L(k-1) >= k/3 and
+H(k-1) <= k/2 on a cycle, so with t = (n - s) + p = 2n - e + s the
+child's sizes lie in [ceil(t/3), floor(t/2)], which depends on s alone.
+Once the union so far holds that interval, no later child with |I| = s
+can add a size, and the sweep skips it.
 
 The merge argument above holds for any components, so the sweep starts
 with one run per component of G and takes the sumset of their S.  It
@@ -197,10 +215,6 @@ def maxine_run(g: Graph, policy: str = "low", seed: int = 0) -> MaxineOutcome:
     return MaxineOutcome(tuple(deletions), _mask_to_set(mask))
 
 
-# _PATH_SIZES[k]: achievable survivor counts of the path P_k, as a size bitmask
-_PATH_SIZES = [1 << 0, 1 << 1, 1 << 1]
-
-
 def _sumset(a: int, b: int) -> int:
     """{x + y : x in a, y in b} for size bitmasks a and b."""
     out = 0
@@ -211,27 +225,18 @@ def _sumset(a: int, b: int) -> int:
     return out
 
 
-def _path_sizes(k: int) -> int:
-    table = _PATH_SIZES
-    while len(table) <= k:
-        m = len(table)
-        out = 0
-        for i in range(1, m // 2 + 1):
-            out |= _sumset(table[i], table[m - 1 - i])
-        table.append(out)
-    return table[k]
-
-
 def _paths_and_cycles_sizes(adj, mask: int, deg2: int) -> int:
     """Achievable counts when `mask` induces maximum degree at most 2;
-    `deg2` holds its degree-2 vertices."""
-    out = 1
+    `deg2` holds its degree-2 vertices.  The interval of the summed
+    component ends (module docstring)."""
+    lo = hi = 0
     for comp in _components(adj, mask):
         k = comp.bit_count()
         if comp & deg2 == comp:
             k -= 1  # a cycle: every deletion leaves P_{k-1}
-        out = _sumset(_path_sizes(k), out)
-    return out
+        lo += k // 3 + 1
+        hi += (k + 1) // 2
+    return (1 << hi + 1) - (1 << lo)
 
 
 def _maximal_independent_sets(adj, p: int, x: int = 0, r: int = 0):
@@ -273,7 +278,7 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
         # of each edge, so the survivor count is forced
         out = 1 << (mask.bit_count() - cands.bit_count() // 2)
     elif best == 2:
-        # paths and cycles: a sumset of table lookups (module docstring)
+        # paths and cycles: an interval (module docstring)
         out = _paths_and_cycles_sizes(adj, mask, cands)
     elif best == 3:
         # one phase at degree 3 leaves paths and cycles (module docstring):
@@ -288,8 +293,20 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
             degsum += deg
             if deg == 2:
                 deg2 |= b
-        out = 0
+        # every child with |d| = s has its sizes in the interval of
+        # t = base + s (module docstring); `covered` holds the s whose
+        # interval `out` already holds, and their children are skipped
+        base = 2 * mask.bit_count() - degsum // 2
+        out = covered = 0
         for d in _maximal_independent_sets(adj, cands):
+            s = d.bit_count()
+            if covered >> s & 1:
+                continue
+            t = base + s
+            span = (1 << t // 2 + 1) - (1 << -(-t // 3))
+            if out & span == span:
+                covered |= 1 << s
+                continue
             child = mask ^ d
             got = memo.get(child)
             if got is None:
@@ -307,8 +324,7 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
                 else:
                     # a matching: one end of each edge goes, and d took
                     # three edges with each of its vertices
-                    edges = degsum // 2 - 3 * d.bit_count()
-                    got = 1 << (child.bit_count() - edges)
+                    got = 1 << (child.bit_count() - degsum // 2 + 3 * s)
                 memo[child] = got
             out |= got
     else:

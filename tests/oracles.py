@@ -100,6 +100,23 @@ def brute_maxine_sizes(g: Graph) -> frozenset[int]:
     return rec(frozenset(range(g.n)))
 
 
+def path_sizes(k: int) -> frozenset[int]:
+    """Survivor counts of the path P_k by the deletion recurrence: deleting
+    the interior vertex i + 1 leaves P_i + P_(k-1-i), and S(P_1) = S(P_2)
+    = {1}.  A cycle C_k has the sizes of P_(k-1)."""
+    table = [frozenset([0]), frozenset([1]), frozenset([1])]
+    for m in range(3, k + 1):
+        table.append(
+            frozenset(
+                a + b
+                for i in range(1, m - 1)
+                for a in table[i]
+                for b in table[m - 1 - i]
+            )
+        )
+    return table[k]
+
+
 def brute_hh_sizes(g: Graph) -> frozenset[int]:
     """Survivor counts over every order of degree-dominating deletions:
     a maximum-degree vertex whose neighbours' smallest degree is at least

@@ -12,6 +12,7 @@ from reslab.heuristics import (
     NoHHVertexError,
     _hh_vertices_mask,
     _maximal_independent_sets,
+    _paths_and_cycles_sizes,
     hh_property_vertices,
     max_degree_vertices,
     maxine_all,
@@ -278,6 +279,78 @@ class TestMaxineAllOracle:
         r, a = residue(g), alpha(g)
         sizes = maxine_all(g).achievable_sizes
         assert sizes and all(r <= m <= a for m in sizes)
+
+
+def subcubic(n: int, seed: int) -> Graph:
+    """A seeded graph of maximum degree 3 that mixes degree-3, degree-2
+    and isolated vertices, so that a degree-3 phase ties on only some of
+    the vertices."""
+    rng = random.Random(seed)
+    while True:
+        deg = [0] * n
+        edges = set()
+        live = rng.sample(range(n), n - rng.randint(1, 2))  # the rest stay isolated
+        for _ in range(rng.randint(n, 2 * n)):
+            a, b = rng.sample(live, 2)
+            if deg[a] < 3 and deg[b] < 3 and (min(a, b), max(a, b)) not in edges:
+                edges.add((min(a, b), max(a, b)))
+                deg[a] += 1
+                deg[b] += 1
+        if 3 in deg and 2 in deg:
+            return Graph(n, edges)
+
+
+def size_mask(sizes) -> int:
+    return sum(1 << s for s in sizes)
+
+
+class TestPathsAndCyclesIntervals:
+    """S(P_k) = [k // 3 + 1, ceil(k / 2)] and S(C_k) = S(P_(k-1)) against
+    the deletion recurrence; and the degree-3 phase that skips children
+    whose sizes it already holds."""
+
+    @staticmethod
+    def sizes(adj) -> int:
+        deg2 = sum(1 << v for v, row in enumerate(adj) if row.bit_count() == 2)
+        return _paths_and_cycles_sizes(adj, (1 << len(adj)) - 1, deg2)
+
+    @staticmethod
+    def ring(k: int, closed: bool) -> list[int]:
+        # adjacency rows of P_k, or of C_k when closed; k may pass MAX_VERTICES
+        adj = [0] * k
+        for i in range(k - 1 + closed):
+            j = (i + 1) % k
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return adj
+
+    def test_paths_to_64(self):
+        for k in range(1, 65):
+            assert self.sizes(self.ring(k, False)) == size_mask(oracles.path_sizes(k)), k
+
+    def test_cycles_to_64(self):
+        for k in range(3, 65):
+            assert self.sizes(self.ring(k, True)) == size_mask(oracles.path_sizes(k - 1)), k
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_subcubic(self, seed):
+        g = subcubic(8 + seed % 7, seed)
+        assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g), g
+
+    def test_cubic_24_skips_covered_children(self, monkeypatch):
+        # every vertex ties, so the phase has one child per maximal
+        # independent set; most of them are skipped without a walk
+        g = regular(24, 3, 124)
+        sets = sum(1 for _ in _maximal_independent_sets(g.adj, (1 << 24) - 1))
+        calls = []
+
+        def counted(adj, mask, deg2):
+            calls.append(mask)
+            return _paths_and_cycles_sizes(adj, mask, deg2)
+
+        monkeypatch.setattr("reslab.heuristics._paths_and_cycles_sizes", counted)
+        assert maxine_all(g).achievable_sizes == set(range(7, 12))
+        assert sets == 606 and len(calls) < sets
 
 
 class TestMaximalIndependentSets:
