@@ -311,8 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_gen_f)
 
-    p = sub.add_parser("verify", help="scan an enumeration or corpus with one check")
-    p.add_argument("--check", required=True, help="check id (see --help-checks)")
+    p = sub.add_parser(
+        "verify",
+        help="scan an enumeration or corpus with one check",
+        epilog="check ids:\n"
+        + "\n".join(f"  {c.value}: {d}" for c, d in verify.CHECK_DESCRIPTIONS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("--check", required=True, help="check id (listed below)")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--enum-n", type=int, help="scan all labeled graphs on N vertices")
     grp.add_argument("--corpus", help="graph6 file, one record per line")

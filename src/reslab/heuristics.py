@@ -347,10 +347,10 @@ def _maxine_sizes(adj, mask: int) -> int:
     return out
 
 
-def maxine_all(g: Graph, cap: int = MAXINE_ALL_CAP) -> MaxineSummary:
+def maxine_all(g: Graph) -> MaxineSummary:
     """Exhaust every tie-breaking choice (memoized on surviving sets)."""
-    if g.n > cap:
-        raise ValueError(f"maxine_all limited to n <= {cap}, got {g.n}")
+    if g.n > MAXINE_ALL_CAP:
+        raise ValueError(f"maxine_all limited to n <= {MAXINE_ALL_CAP}, got {g.n}")
     return MaxineSummary(_mask_to_set(_maxine_sizes(g.adj, (1 << g.n) - 1)))
 
 
@@ -377,14 +377,14 @@ def maxine_hh(g: Graph) -> MaxineOutcome:
     return MaxineOutcome(tuple(deletions), _mask_to_set(mask))
 
 
-def maxine_hh_sizes(g: Graph, cap: int = MAXINE_ALL_CAP) -> frozenset[int]:
+def maxine_hh_sizes(g: Graph) -> frozenset[int]:
     """Survivor counts over every choice of degree-dominating deletions.
 
     Choice sequences that strand (no qualifying vertex mid-run) contribute
     nothing; the result is empty when no sequence completes.
     """
-    if g.n > cap:
-        raise ValueError(f"maxine_hh_sizes limited to n <= {cap}, got {g.n}")
+    if g.n > MAXINE_ALL_CAP:
+        raise ValueError(f"maxine_hh_sizes limited to n <= {MAXINE_ALL_CAP}, got {g.n}")
     adj = g.adj
     memo: dict = {}  # by mask, and at degree <= 2 by component shapes
 

@@ -18,25 +18,6 @@ from .graphs import Graph, _bits, _components, _mask_to_set, induced
 ALL_MIS_CAP = 32
 
 
-def _greedy_lower_bound(adj, mask: int) -> int:
-    count = 0
-    while mask:
-        best_v = -1
-        best_d = 1 << 62
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
-            if d < best_d:
-                best_d = d
-                best_v = v
-        count += 1
-        mask &= ~(adj[best_v] | (1 << best_v))
-    return count
-
-
 def _alpha_bb(adj, mask: int, size: int, best: int) -> int:
     """max(best, size + alpha of the subgraph `mask` induces), by branch
     and bound on a maximum-degree vertex, in/out; `best` comes back as
@@ -84,7 +65,7 @@ def _alpha_bb(adj, mask: int, size: int, best: int) -> int:
 
 
 def _alpha_mask(adj, mask: int) -> int:
-    return _alpha_bb(adj, mask, 0, _greedy_lower_bound(adj, mask) - 1)
+    return _alpha_bb(adj, mask, 0, -1)
 
 
 def alpha(g: Graph) -> int:
@@ -92,16 +73,14 @@ def alpha(g: Graph) -> int:
     return _alpha_mask(g.adj, (1 << g.n) - 1)
 
 
-def _all_mis_masks(
-    g: Graph, a: int | None, cap: int = ALL_MIS_CAP
-) -> tuple[int, list[int]]:
+def _all_mis_masks(g: Graph, a: int | None) -> tuple[int, list[int]]:
     """alpha and every maximum independent set, as bitmasks.
 
     `a` is alpha of g, worked out here when None.  Generated in ascending
     lexicographic order of the member lists.
     """
-    if g.n > cap:
-        raise ValueError(f"all_mis limited to n <= {cap}, got {g.n}")
+    if g.n > ALL_MIS_CAP:
+        raise ValueError(f"all_mis limited to n <= {ALL_MIS_CAP}, got {g.n}")
     adj = g.adj
     target = alpha(g) if a is None else a
     results: list[int] = []
@@ -133,9 +112,9 @@ class MISReport:
     sets: tuple[frozenset[int], ...]
 
 
-def all_mis(g: Graph, cap: int = ALL_MIS_CAP) -> MISReport:
+def all_mis(g: Graph) -> MISReport:
     """Enumerate every maximum independent set."""
-    a, masks = _all_mis_masks(g, None, cap)
+    a, masks = _all_mis_masks(g, None)
     return MISReport(a, tuple(map(_mask_to_set, masks)))
 
 

@@ -18,7 +18,6 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import islice
-from multiprocessing import Pool
 from operator import getitem
 
 from ._version import __version__
@@ -938,6 +937,8 @@ def _scan(source, checks, shards: int, stop_after=None):
         partials = [_scan_chunk(source, chunks[0], checks, stop_after)]
     else:
         # shards are chunks of work; never more processes than cores
+        from multiprocessing import Pool  # only a sharded scan pays its import
+
         scan = partial(_scan_chunk, source, checks=checks, stop_after=stop_after)
         with Pool(processes=min(len(chunks), os.cpu_count() or 1)) as pool:
             partials = pool.map(scan, chunks)

@@ -221,6 +221,15 @@ class TestGenF:
 
 
 class TestVerifyCommand:
+    def test_help_lists_every_check(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for check in reslab.CheckId:
+            assert f"  {check.value}: " in out, check
+        assert "--help-checks" not in out
+
     def test_clean_scan(self, capsys):
         code, out, err = run(
             ["verify", "--check", "thm2_sandwich", "--enum-n", "4", "--shards", "2"],

@@ -1,7 +1,10 @@
 """Graph container, enumeration/canonicalization, and the graph6 codec."""
 
 import copy
+import itertools
+import os
 import pickle
+import random
 
 import pytest
 
@@ -10,6 +13,7 @@ from reslab.graphs import (
     ENUM_CAP,
     Graph,
     Graph6Error,
+    _certificate,
     canonical_form,
     complement,
     degree_sequence,
@@ -163,8 +167,6 @@ class TestCanonicalForm:
                 assert not same  # representatives are pairwise non-isomorphic
 
     def test_invariant_under_relabeling(self):
-        import itertools
-
         for perm in itertools.permutations(range(5)):
             assert canonical_form(oracles.relabel(P5, perm)) == canonical_form(P5)
 
@@ -175,6 +177,16 @@ class TestCanonicalForm:
         g2 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])  # hexagon
         assert degree_sequence(g1) == degree_sequence(g2)
         assert canonical_form(g1) != canonical_form(g2)
+
+    def test_corpus8_relabelings_keep_certificate(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
+        with open(path, encoding="ascii") as fh:
+            records = [from_graph6(line) for line in fh]
+        rng = random.Random(19)
+        for g in rng.sample(records, 2000):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            assert canonical_form(oracles.relabel(g, perm)) == canonical_form(g), g
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -187,20 +199,28 @@ class TestIsomorphismClasses:
         for n, want in [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
             assert isomorphism_class_count(n) == want
 
-    def test_representatives_are_least_masks(self):
-        masks = list(isomorphism_classes(4))
-        assert masks == sorted(masks)
-        assert masks[0] == 0
-        # each representative's canonical orbit contains no smaller labeled mask
-        for m in masks:
-            g = Graph.from_mask(4, m)
-            import itertools
+    def test_representatives_are_certificates(self):
+        for n in range(7):
+            masks = list(isomorphism_classes(n))
+            assert masks == sorted(set(masks))
+            for m in masks:
+                assert _certificate(n, Graph.from_mask(n, m).adj) == m
 
-            orbit = {
-                oracles.relabel(g, perm).mask()
-                for perm in itertools.permutations(range(4))
-            }
-            assert m == min(orbit)
+    def test_certificate_classes_are_relabeling_orbits(self):
+        # every labeled graph with n <= 6: each certificate's group is the
+        # orbit of its first mask under all n! relabelings
+        for n in range(7):
+            groups = {}
+            for g in enumerate_labeled(n):
+                groups.setdefault(_certificate(n, g.adj), set()).add(g.mask())
+            assert len(groups) == isomorphism_class_count(n)
+            for group in groups.values():
+                g = Graph.from_mask(n, min(group))
+                orbit = {
+                    oracles.relabel(g, perm).mask()
+                    for perm in itertools.permutations(range(n))
+                }
+                assert group == orbit, (n, g)
 
     def test_classes_cover_everything(self):
         reps = {canonical_form(Graph.from_mask(4, m)) for m in isomorphism_classes(4)}

@@ -1,6 +1,7 @@
 """Check semantics, scanning, sharding determinism, and report schema."""
 
 import json
+import multiprocessing
 import os
 import random
 
@@ -234,7 +235,7 @@ class TestRunSuite:
                 opened.append(len(payloads))
                 return [fn(p) for p in payloads]
 
-        monkeypatch.setattr(verify, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         checks = [CheckId.THM2_SANDWICH, CheckId.F_MEMBERS_ARE_MDI]
         got = run_suite(EnumerationSource(5), checks, shards=5000)
