@@ -10,7 +10,6 @@ report is identical whatever the shard count.
 from __future__ import annotations
 
 import enum
-import json
 import os
 import sys
 import time
@@ -18,7 +17,6 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import islice
-from operator import getitem
 
 from ._version import __version__
 from .degseq import hh_realization, residue_seq
@@ -86,6 +84,11 @@ class Verdict(enum.Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
+# reading an enum member goes through a descriptor (about 0.1 us), so the
+# checks, each run once per scanned graph, return these names instead
+_PASS, _FAIL, _NOT_APPLICABLE = Verdict.PASS, Verdict.FAIL, Verdict.NOT_APPLICABLE
+
+
 _C4 = cycle(4)
 # bits of GraphFacts.flags
 _C4_FLAG, _P5_FLAG, _MEMBER_FLAG, _RAW_MEMBER_FLAG = 1, 2, 4, 8
@@ -147,10 +150,11 @@ def _searched_flags(g: Graph, patterns, out: int = 0) -> int:
     `patterns` that g holds induced.  A flag already set is not searched
     for again, nor a pattern with as many vertices as g and another edge
     count, which cannot be a relabeling of g."""
+    edges = g.edge_count
     for pattern, flag, pattern_edges in patterns:
         if (
             flag & ~out
-            and (pattern.n < g.n or pattern_edges == g.edge_count)
+            and (pattern.n < g.n or pattern_edges == edges)
             and find_induced(g, pattern) is not None
         ):
             out |= flag
@@ -266,7 +270,7 @@ class GraphFacts:
 
 
 def _passfail(ok: bool) -> Verdict:
-    return Verdict.PASS if ok else Verdict.FAIL
+    return _PASS if ok else _FAIL
 
 
 def _ck_thm1(f: GraphFacts) -> Verdict:
@@ -279,31 +283,31 @@ def _ck_thm2(f: GraphFacts) -> Verdict:
 
 def _ck_hh_deletion(f: GraphFacts) -> Verdict:
     if f.hh_size is None:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(f.hh_size == f.residue)
 
 
 def _ck_realization(f: GraphFacts) -> Verdict:
     if f.n == 0:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(_sequence_realization_has_hh_vertex(f.degrees))
 
 
 def _ck_thm_bm(f: GraphFacts) -> Verdict:
     if f.c4 or f.p5:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
 
 def _ck_corollary(f: GraphFacts) -> Verdict:
     if f.p5 or f.flags & _MEMBER_FLAG:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(f.maxine_min == f.alpha)
 
 
 def _ck_lemma_reductions(f: GraphFacts) -> Verdict:
     if f.n == 0 or not f.mdi_mask:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     for v in _bits(f.mdi_mask):
         # with a unique MIS, lying in every MIS means lying in that one
         try:
@@ -311,19 +315,19 @@ def _ck_lemma_reductions(f: GraphFacts) -> Verdict:
         except ValueError:
             if f.n > ALL_MIS_CAP:
                 raise  # too large to reduce, not a counterexample
-            return Verdict.FAIL
-    return Verdict.PASS
+            return _FAIL
+    return _PASS
 
 
 def _ck_alpha_le2(f: GraphFacts) -> Verdict:
     if f.n == 0 or not f.mdi_mask or f.alpha > 2:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(f.edge_count == 0)
 
 
 def _ck_q_cliques(f: GraphFacts) -> Verdict:
     if not f.mdi_mask or f.alpha != 3 or f.p5_star:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     for v in _bits(f.mdi_mask):
         g2, v2, iset = f.pipeline(v)
         adj = g2.adj
@@ -332,8 +336,8 @@ def _ck_q_cliques(f: GraphFacts) -> Verdict:
         # classes q_u and q_w lie inside q, so q being a clique settles all three
         q = adj[v2] & (adj[u] ^ adj[w])
         if any(q & ~adj[x] != 1 << x for x in _bits(q)):
-            return Verdict.FAIL
-    return Verdict.PASS
+            return _FAIL
+    return _PASS
 
 
 def _anchored_member_found(g2: Graph, v2: int, iset: int) -> bool:
@@ -356,9 +360,9 @@ def _anchored_member_found(g2: Graph, v2: int, iset: int) -> bool:
 
 def _ck_structure_a3(f: GraphFacts) -> Verdict:
     if not f.mdi_mask or f.alpha != 3 or f.p5_star:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     if f.edge_count == 0:
-        return Verdict.PASS  # bare independent set: nothing to locate
+        return _PASS  # bare independent set: nothing to locate
     anchored = all(
         _anchored_member_found(*f.pipeline(v)) for v in _bits(f.mdi_mask)
     )
@@ -367,15 +371,15 @@ def _ck_structure_a3(f: GraphFacts) -> Verdict:
 
 def _ck_structure_gt3(f: GraphFacts) -> Verdict:
     if not f.mdi_mask or f.alpha <= 3 or f.p5_star:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     if f.edge_count == 0:
-        return Verdict.PASS
+        return _PASS
     return _passfail(bool(f.flags & _RAW_MEMBER_FLAG))
 
 
 def _ck_f_members(f: GraphFacts) -> Verdict:
     if f.n == 0:
-        return Verdict.NOT_APPLICABLE
+        return _NOT_APPLICABLE
     return _passfail(bool(f.mdi_mask))
 
 
@@ -484,6 +488,8 @@ class VerifyReport:
         }
 
     def to_json(self) -> str:
+        import json  # its only user; `import reslab` does not pay for it
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
@@ -539,6 +545,12 @@ def _decode(records, skipped: list):
 #   v is MDI iff it has maximum degree and alpha(G - v) < alpha(G);
 #   the guided run (maxine_hh) ends as that of G - v* does, v* its first
 #   deletion, since G - v keeps the vertex order that breaks ties;
+#   v* is the lowest max-degree v with GT - v <= N(v) <= GE, where, top
+#   the maximum degree, seq the sorted degrees and theta = seq[top], GE
+#   holds the vertices of degree >= theta and GT those of degree > theta:
+#   N(v) is a top-subset of the other vertices, and its degrees sum to
+#   the top largest of theirs, seq[1..top], only when they are those
+#   degrees, i.e. it holds every other vertex above theta and none below;
 #   an induced C4, P5 or catalog member with fewer vertices than G misses
 #   some v, so it lies in G - v; one with as many is a relabeling of G.
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
@@ -561,8 +573,7 @@ def _chunk_tables(n: int):
     the digit of n**v), of the edges that chunk c holds when its bits
     read x.  sub[v][c][x] is the mask of those edges over
     pair_order(n - 1) once v is deleted and the vertices above v move
-    down by one.  nbr[v][c][x] is the vertex mask of v's neighbours
-    along those edges.
+    down by one.
     """
     pairs = _pairs(n)
     spans = [pairs[i : i + _CHUNK] for i in range(0, len(pairs), _CHUNK)] or [()]
@@ -590,21 +601,56 @@ def _chunk_tables(n: int):
     return (
         table(lambda i, j: n**i + n**j),
         [table(kept_edge(v)) for v in range(n)],
-        [table(lambda i, j, v=v: (i == v) << j | (j == v) << i) for v in range(n)],
     )
+
+
+@lru_cache(maxsize=None)
+def _stars(n: int) -> list[list[int]]:
+    """stars[v][s] is the edge mask, over pair_order(n), of the edges
+    joining v to the vertices of the vertex mask s."""
+    out = []
+    for v in range(n):
+        row = [0]
+        for u in range(n):
+            i, j = min(u, v), max(u, v)
+            edge = 1 << (j * (j - 1) // 2 + i) if u != v else 0
+            row += [r | edge for r in row]
+        out.append(row)
+    return out
 
 
 class _DegreeClasses:
     """Degree vectors of n-vertex graphs, packed base n (see
     _chunk_tables), grouped by (max-degree vertices, sorted degrees);
     each class also carries the residue.  Classes are found as a scan
-    meets their vectors."""
+    meets their vectors.  Only the guided run reads a vector's band,
+    GE | GT << 8 as the "Labeled scans" comment defines them, so the
+    band array is allocated, and each band found, on first use."""
 
     def __init__(self, n: int):
         self.n = n
         self.ids = array("I", bytes(4 * n**n))  # 0: vector not met yet
         self.classes: list = [None]
         self._index: dict = {}
+
+    @_lazy
+    def bands(self) -> array:
+        return array("H", bytes(2 * self.n**self.n))  # 0: band not found yet
+
+    def band(self, packed: int, seq: tuple[int, ...]) -> int:
+        """Find and store the band of a degree vector whose sorted degrees
+        are seq, with top = seq[0] >= 1; GE holds the max-degree vertices,
+        so no band is 0."""
+        n, theta = self.n, seq[seq[0]]
+        ge = gt = 0
+        rest = packed
+        for v in range(n):
+            d = rest % n  # v's degree
+            rest //= n
+            ge |= (d >= theta) << v
+            gt |= (d > theta) << v
+        self.bands[packed] = out = ge | gt << 8
+        return out
 
     def add(self, packed: int) -> int:
         n = self.n
@@ -816,6 +862,7 @@ class _LayerFacts(GraphFacts):
         self.mdi_mask = mdi
         self.degrees = degclass[1]
         self.residue = degclass[2]
+        self._tops = degclass[0]
         self._high_subs = high_subs
         self._packed = packed  # degree vector, see _chunk_tables
         self._pipelines = {}
@@ -833,19 +880,17 @@ class _LayerFacts(GraphFacts):
         n, mask = self.n, self.mask
         if not mask:
             return n
-        _, sub, nbr = _chunk_tables(n)
-        chunks = [mask >> _CHUNK * c & _CHUNK_MASK for c in range(len(nbr[0]))]
-        degs = [self._packed // n**u % n for u in range(n)]
-        top = self.degrees[0]
-        # a max-degree v dominates iff its neighbours are `top` other
-        # vertices of highest degree, i.e. their degrees sum to `want`
-        want = sum(self.degrees[1 : top + 1])
-        for v in range(n):
-            if degs[v] == top:
-                nbrs = sum(map(getitem, nbr[v], chunks))
-                if sum(d for u, d in enumerate(degs) if nbrs >> u & 1) == want:
-                    code = _hh_level(n - 1)[self._high_subs[v] | sub[v][0][chunks[0]]]
-                    return code - 1 if code else None
+        classes = _degree_classes(n)
+        band = classes.bands[self._packed] or classes.band(self._packed, self.degrees)
+        below, above = ((1 << n) - 1) ^ (band & 255), band >> 8
+        stars = _stars(n)
+        for v in self._tops:
+            star = stars[v]
+            # v dominates iff it sees every vertex above theta and none below
+            if not mask & star[below] and mask & star[above] == star[above]:
+                sub = _chunk_tables(n)[1][v][0][mask & _CHUNK_MASK]
+                code = _hh_level(n - 1)[self._high_subs[v] | sub]
+                return code - 1 if code else None
         return None
 
     c4 = property(lambda self: self.flags & _C4_FLAG)
@@ -868,7 +913,7 @@ def _layer_facts(n: int, lo: int, hi: int):
     counting order.  The low 7 mask bits vary fastest, so the chunk
     lookups of the higher bits are made once per 128 graphs."""
     pairs = _pairs(n)
-    deg, sub, _ = _chunk_tables(n)
+    deg, sub = _chunk_tables(n)
     alphas, sizes = _level(n - 1) if n else (None, None)
     degree_classes = _degree_classes(n)
     ids, classes = degree_classes.ids, degree_classes.classes
@@ -908,21 +953,24 @@ def _layer_facts(n: int, lo: int, hi: int):
 
 
 def _scan_chunk(source, chunk, checks, stop_after=None):
-    """Scan one chunk; stop early once a check has `stop_after` failures."""
-    applicable = {c: 0 for c in checks}
-    fails: dict[CheckId, list[str]] = {c: [] for c in checks}
+    """Scan one chunk; stop early once a check has `stop_after` failures.
+    Applicable counts and failures come back by position in `checks`."""
+    fns = [_CHECKS[c] for c in checks]
+    applicable = [0] * len(fns)
+    fails: list[list[str]] = [[] for _ in fns]
     skipped: list[tuple[int, str]] = []
     scanned = 0
+    not_applicable, fail = _NOT_APPLICABLE, _FAIL
     for facts in source.facts(chunk, skipped):
         scanned += 1
-        for c in checks:
-            verdict = _CHECKS[c](facts)
-            if verdict is Verdict.NOT_APPLICABLE:
+        for i, fn in enumerate(fns):
+            verdict = fn(facts)
+            if verdict is not_applicable:
                 continue
-            applicable[c] += 1
-            if verdict is Verdict.FAIL:
-                fails[c].append(to_graph6(facts.graph))
-                if len(fails[c]) == stop_after:
+            applicable[i] += 1
+            if verdict is fail:
+                fails[i].append(to_graph6(facts.graph))
+                if len(fails[i]) == stop_after:
                     return scanned, applicable, fails, skipped
     return scanned, applicable, fails, skipped
 
@@ -964,6 +1012,9 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
         shards = os.cpu_count() or 1
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    for i, c in enumerate(check_list):
+        if c in check_list[:i]:
+            raise ValueError(f"check {c.value} given more than once")
     t0 = time.perf_counter()
     partials, bad = _scan(source, check_list, shards)
     elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -973,12 +1024,12 @@ def run_suite(source, checks, shards: int | None = None) -> list[VerifyReport]:
             check=c,
             source=source.describe(),
             scanned=scanned,
-            applicable=sum(p[1][c] for p in partials),
-            counterexamples=tuple(sorted(x for p in partials for x in p[2][c])),
+            applicable=sum(p[1][i] for p in partials),
+            counterexamples=tuple(sorted(x for p in partials for x in p[2][i])),
             skipped_records=len(bad),
             elapsed_ms=elapsed_ms,
         )
-        for c in check_list
+        for i, c in enumerate(check_list)
     ]
 
 
@@ -992,4 +1043,4 @@ def hunt(source, check: CheckId | str, stop_after: int) -> list[str]:
     if stop_after < 1:
         raise ValueError("stop_after must be >= 1")
     (part,), _ = _scan(source, [cid], 1, stop_after)
-    return part[2][cid]
+    return part[2][0]

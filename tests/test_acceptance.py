@@ -15,23 +15,20 @@ import sys
 from functools import lru_cache
 from itertools import combinations
 
-import pytest
-
 import oracles
 from reslab.cli import main
-from reslab.degseq import hh_realization, is_graphic, residue, residue_seq
+from reslab.degseq import hh_realization, is_graphic, residue
 from reslab.graphs import (
     Graph,
     _certificate,
     complement,
-    degree_sequence,
     enumerate_labeled,
     from_graph6,
     isomorphism_class_count,
     isomorphism_classes,
     to_graph6,
 )
-from reslab.heuristics import hh_property_vertices, maxine_all, maxine_hh_sizes
+from reslab.heuristics import hh_property_vertices, maxine_hh_sizes
 from reslab.independence import all_mis, alpha
 from reslab.patterns import cycle, f_catalog, find_induced, path
 from reslab.verify import (

@@ -9,6 +9,7 @@ import pytest
 
 from reslab import independence, verify
 from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
+from reslab.heuristics import NoHHVertexError, maxine_hh
 from reslab.patterns import (
     complete,
     cycle,
@@ -217,6 +218,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(EnumerationSource(3), [CheckId.THM2_SANDWICH], shards=0)
 
+    def test_repeated_check_rejected(self):
+        # counted once per repeat, it would report 16 applicable of 8 scanned
+        checks = [CheckId.THM2_SANDWICH, "thm1_residue_le_alpha"] * 2
+        with pytest.raises(ValueError, match="check thm1_residue_le_alpha given more"):
+            run_suite(EnumerationSource(3), checks[1:], shards=1)
+        with pytest.raises(ValueError, match="check thm2_sandwich given more"):
+            run_suite(EnumerationSource(3), checks, shards=1)
+
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a stand-in pool that records its size and maps in this process
         opened = []
@@ -328,6 +337,36 @@ class TestLayerTables:
             (f,) = verify._layer_facts(7, mask, mask + 1)
             assert f.mask == mask
             self.assert_matches_per_graph(f)
+
+    @staticmethod
+    def layer_hh_size(g: Graph) -> int | None:
+        mask = g.mask()
+        (f,) = verify._layer_facts(g.n, mask, mask + 1)
+        return f.hh_size
+
+    def test_sandwich_scan_allocates_no_bands(self):
+        verify._degree_classes.cache_clear()
+        run_suite(EnumerationSource(5), [CheckId.THM2_SANDWICH], shards=1)
+        assert "bands" not in vars(verify._degree_classes(5))
+        run_suite(EnumerationSource(5), [CheckId.HH_DELETION_GIVES_RESIDUE], shards=1)
+        assert len(verify._degree_classes(5).bands) == 5**5
+
+    def test_band_tie_at_theta_still_dominates(self):
+        # P3 3-0-4 plus the edge 12: top = 2 and theta = 1, and vertices
+        # 1 and 2 tie with 0's neighbours at degree 1; 0 is the only vertex
+        # that dominates, so refusing it would strand the run
+        g = Graph(5, [(0, 3), (0, 4), (1, 2)])
+        assert maxine_hh(g).deletions == (0, 1)
+        assert self.layer_hh_size(g) == 3
+
+    def test_band_vertex_above_theta_outside_neighbourhood(self):
+        # K_{2,3}: top = 3 and theta = 2; N(0) lies in GE, but 1 is above
+        # theta and misses it, so neither 0 nor 1 dominates (deleting 0
+        # would end at 3 survivors)
+        g = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+        with pytest.raises(NoHHVertexError):
+            maxine_hh(g)
+        assert self.layer_hh_size(g) is None
 
     @staticmethod
     def count_builds(monkeypatch) -> list:
