@@ -234,6 +234,10 @@ def _cmd_verify(args) -> int:
         if not os.path.exists(args.corpus):
             print(f"error: no such corpus file: {args.corpus}", file=sys.stderr)
             return 2
+        if not os.path.isfile(args.corpus):
+            # a scan counts the records, then seeks back to read them
+            print(f"error: corpus must be a regular file: {args.corpus}", file=sys.stderr)
+            return 2
         source = verify.CorpusSource(args.corpus)
     if args.stop_after is not None:
         found = verify.hunt(source, check, args.stop_after)

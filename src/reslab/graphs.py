@@ -338,20 +338,18 @@ def to_graph6(g: Graph) -> str:
     """Encode as a graph6 record (no header, no trailing newline)."""
     if g.n > MAX_VERTICES:
         raise ValueError(f"graph6 single-byte encoding requires n <= {MAX_VERTICES}")
-    adj = g.adj
-    bits = 0
-    for i, j in _pairs(g.n):
-        bits = bits << 1 | (adj[i] >> j & 1)
-    npairs = g.n * (g.n - 1) // 2
-    ngroups = (npairs + 5) // 6
-    bits <<= 6 * ngroups - npairs
+    # the payload is the edge mask written from its first pair_order bit
+    # to its last, six bits a byte, zero-padded at the end
+    ngroups = (g.n * (g.n - 1) // 2 + 5) // 6
+    bits = int(f"{g.mask():0{6 * ngroups}b}"[::-1], 2)
     return chr(g.n + 63) + "".join(
         [chr((bits >> 6 * k & 63) + 63) for k in range(ngroups - 1, -1, -1)]
     )
 
 
-def from_graph6(text: str) -> Graph:
-    """Decode one graph6 record; tolerates the optional >>graph6<< header."""
+def _graph6_mask(text: str) -> tuple[int, int]:
+    """(n, edge mask over pair_order(n)) of one graph6 record; tolerates
+    the optional >>graph6<< header."""
     s = text.rstrip("\r\n")
     base = 0
     if s.startswith(_HEADER):
@@ -381,17 +379,13 @@ def from_graph6(text: str) -> Graph:
         if not 63 <= c <= 126:
             raise Graph6Error(f"non-printable payload byte {ch!r}", base + 1 + gi)
         bits = bits << 6 | (c - 63)
-    pad = 6 * ngroups - npairs
-    if bits & ((1 << pad) - 1):
+    # the first payload bit is the first pair's: read the bits last to first
+    mask = int(f"{bits:0{6 * ngroups}b}"[::-1], 2)
+    if mask >> npairs:
         raise Graph6Error("nonzero padding bits", base + ngroups)
-    # bit t of `bits >> pad` holds pair npairs - 1 - t of pair_order(n)
-    adj = [0] * n
-    pairs = _pairs(n)
-    m = bits >> pad
-    while m:
-        b = m & -m
-        m ^= b
-        i, j = pairs[npairs - b.bit_length()]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph._make(n, tuple(adj))
+    return n, mask
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 record; tolerates the optional >>graph6<< header."""
+    return Graph.from_mask(*_graph6_mask(text))

@@ -16,7 +16,7 @@ import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import islice, starmap
 
 from ._version import __version__
 from .degseq import hh_realization, residue_seq
@@ -24,10 +24,10 @@ from .graphs import (
     ENUM_CAP,
     Graph,
     _bits,
+    _graph6_mask,
     _pairs,
     _perm_edge_tables,
     degree_sequence,
-    from_graph6,
     to_graph6,
 )
 from .heuristics import (
@@ -235,8 +235,8 @@ class GraphFacts:
 
     @_lazy
     def c4(self) -> int:
-        """The C4 bit of flags, searched without the catalog; the table
-        subclasses read it, and the P5 bit, from their flags byte."""
+        """The C4 bit of flags, searched without the catalog; _MaskFacts
+        reads it, and the P5 bit, from its flags byte."""
         return _searched_flags(self.graph, [_C4_ENTRY])
 
     @_lazy
@@ -449,7 +449,7 @@ class CorpusSource:
     def facts(self, chunk: tuple[int, int, int, int], skipped: list):
         lo, hi, pos, lineno = chunk
         records = islice(_corpus_records(self.path, pos, lineno), hi - lo)
-        return map(_corpus_facts, _decode(records, skipped))
+        return starmap(_corpus_facts, _decode(records, skipped))
 
 
 _SOURCES = (EnumerationSource, CorpusSource)
@@ -493,15 +493,31 @@ class VerifyReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+# characters read of a corpus line; the longest graph6 record accepted,
+# 62 vertices with its header, has 327
+_LINE_LIMIT = 1024
+
+
+def _records(fh, lineno: int):
+    """(lineno, record) for every non-blank line of the open file fh, the
+    first numbered lineno, undecoded, read as the caller iterates.  A line
+    longer than _LINE_LIMIT is one record, None, whose rest is dropped in
+    reads of bounded length instead of held whole."""
+    read = partial(fh.readline, _LINE_LIMIT + 1)
+    for lineno, line in enumerate(iter(read, ""), start=lineno):
+        if len(line) > _LINE_LIMIT and line[-1] != "\n":
+            while (rest := read()) and rest[-1] != "\n":
+                pass
+            yield lineno, None
+        elif text := line.strip():
+            yield lineno, text
+
+
 def _corpus_records(path: str, pos: int = 0, lineno: int = 1):
-    """(lineno, record) for every non-blank line of a file from seek
-    position pos on, the first numbered lineno, undecoded, read as the
-    caller iterates."""
+    """_records of a file from seek position pos on."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         fh.seek(pos)
-        for lineno, line in enumerate(fh, start=lineno):
-            if text := line.strip():
-                yield lineno, text
+        yield from _records(fh, lineno)
 
 
 def _seek_points(path: str, starts: list[int]) -> list[tuple[int, int]]:
@@ -510,29 +526,33 @@ def _seek_points(path: str, starts: list[int]) -> list[tuple[int, int]]:
     file only up to the last of them, so not at all for [0]."""
     out = []
     with open(path, "r", encoding="ascii", errors="replace") as fh:
+        records = _records(fh, 1)
         seen, lineno = 0, 1
         for target in starts:
-            while seen < target and (line := fh.readline()):
-                seen += bool(line.strip())
-                lineno += 1
+            for last, _ in islice(records, target - seen):
+                lineno = last + 1
+            seen = target
             out.append((fh.tell(), lineno))
     return out
 
 
 def _decode(records, skipped: list):
-    """Yield the graph of each record, decoding it once; append
-    (lineno, message) to `skipped` for each malformed one and for each
-    with more vertices than the exact searches are capped at."""
+    """Yield the (n, edge mask) of each record, decoding it once; append
+    (lineno, message) to `skipped` for each over-long or malformed one and
+    for each with more vertices than the exact searches are capped at."""
     for lineno, text in records:
+        if text is None:
+            skipped.append((lineno, f"line longer than {_LINE_LIMIT} characters"))
+            continue
         try:
-            g = from_graph6(text)
+            n, mask = _graph6_mask(text)
         except ValueError as exc:
             skipped.append((lineno, str(exc)))
             continue
-        if g.n > MAXINE_ALL_CAP:
-            skipped.append((lineno, f"{g.n} vertices, limit {MAXINE_ALL_CAP}"))
+        if n > MAXINE_ALL_CAP:
+            skipped.append((lineno, f"{n} vertices, limit {MAXINE_ALL_CAP}"))
             continue
-        yield g
+        yield n, mask
 
 
 # Labeled scans: each graph's facts are read from tables over the labeled
@@ -725,6 +745,28 @@ def _relabeled_flags(k: int) -> dict[int, int]:
     return out
 
 
+class _MaskFacts(GraphFacts):
+    """GraphFacts of a graph given by its edge mask over pair_order(n),
+    whose C4 and P5 bits are read from its flags byte; `graph` is built
+    only when a check asks for it."""
+
+    def __init__(self, n: int, mask: int):
+        self.n = n
+        self.mask = mask
+        self._pipelines = {}
+
+    @_lazy
+    def graph(self) -> Graph:
+        return Graph.from_mask(self.n, self.mask)
+
+    @_lazy
+    def edge_count(self) -> int:
+        return self.mask.bit_count()
+
+    c4 = property(lambda self: self.flags & _C4_FLAG)
+    p5 = property(lambda self: self.flags & _P5_FLAG)
+
+
 # _SIX_INDEX[v][x]: the index into _FlagFacts.sixes of G - v - x, for x a
 # vertex of G - v
 _SIX_INDEX = [
@@ -733,15 +775,11 @@ _SIX_INDEX = [
 ]
 
 
-class _FlagFacts(GraphFacts):
-    """GraphFacts of an 8-vertex graph, read from the 6-vertex tables
-    through its induced subgraphs instead of searched: alpha, the Maxine
-    sizes and the MDI mask from _level(6), and C4, P5 and catalog-member
+class _FlagFacts(_MaskFacts):
+    """Facts of an 8-vertex graph, read from the 6-vertex tables through
+    its induced subgraphs instead of searched: alpha, the Maxine sizes
+    and the MDI mask from _level(6), and C4, P5 and catalog-member
     presence from the flags byte."""
-
-    @_lazy
-    def mask(self) -> int:
-        return self.graph.mask()
 
     @_lazy
     def deletions(self) -> list[int]:
@@ -777,9 +815,6 @@ class _FlagFacts(GraphFacts):
         if out & _C4_FLAG:  # every catalog member holds an induced C4
             out = _searched_flags(self.graph, _spanning_patterns(8), out)
         return out
-
-    c4 = property(lambda self: self.flags & _C4_FLAG)
-    p5 = property(lambda self: self.flags & _P5_FLAG)
 
     @_lazy
     def _levels(self) -> tuple[int, int, int]:
@@ -837,24 +872,21 @@ class _FlagFacts(GraphFacts):
         return self._levels[2]
 
 
-def _corpus_facts(g: Graph) -> GraphFacts:
-    """The facts of a decoded corpus record, by the path its vertex count
-    takes: the labeled tables up to 6 vertices, _FlagFacts at 8 and the
-    per-graph searches of GraphFacts otherwise, which at 7 beat building
-    the 7-vertex tables even on a corpus of all 1,044 classes."""
-    if g.n < ENUM_CAP - 1:
-        mask = g.mask()
-        (f,) = _layer_facts(g.n, mask, mask + 1)
-        f.graph = g  # counterexamples echo the record
-        return f
-    return _FlagFacts(g) if g.n == ENUM_CAP else GraphFacts(g)
+def _corpus_facts(n: int, mask: int) -> GraphFacts:
+    """The facts of a corpus record's edge mask, by the path its vertex
+    count takes: the labeled tables up to 6 vertices, _FlagFacts at 8 and
+    the per-graph searches of GraphFacts otherwise, which at 7 beat
+    building the 7-vertex tables even on a corpus of all 1,044 classes."""
+    if n < ENUM_CAP - 1:
+        return next(_layer_facts(n, mask, mask + 1))
+    return _FlagFacts(n, mask) if n == ENUM_CAP else GraphFacts(Graph.from_mask(n, mask))
 
 
-class _LayerFacts(GraphFacts):
-    """GraphFacts of a labeled graph given by its edge mask, seeded from
-    the tables; `graph` is built only when a check asks for it."""
+class _LayerFacts(_MaskFacts):
+    """Facts of a labeled graph, seeded from the tables."""
 
     def __init__(self, n, mask, alpha, sizes, mdi, degclass, high_subs, packed):
+        # sets _MaskFacts' fields itself: one call less per labeled graph
         self.n = n
         self.mask = mask
         self.alpha = alpha
@@ -866,14 +898,6 @@ class _LayerFacts(GraphFacts):
         self._high_subs = high_subs
         self._packed = packed  # degree vector, see _chunk_tables
         self._pipelines = {}
-
-    @_lazy
-    def graph(self) -> Graph:
-        return Graph.from_mask(self.n, self.mask)
-
-    @_lazy
-    def edge_count(self) -> int:
-        return self.mask.bit_count()
 
     @_lazy
     def hh_size(self) -> int | None:
@@ -892,9 +916,6 @@ class _LayerFacts(GraphFacts):
                 code = _hh_level(n - 1)[self._high_subs[v] | sub]
                 return code - 1 if code else None
         return None
-
-    c4 = property(lambda self: self.flags & _C4_FLAG)
-    p5 = property(lambda self: self.flags & _P5_FLAG)
 
     @_lazy
     def flags(self) -> int:
@@ -980,6 +1001,8 @@ def _scan(source, checks, shards: int, stop_after=None):
     which is also warned about on stderr."""
     if not isinstance(source, _SOURCES):
         raise TypeError(f"unknown source {source!r}")
+    if not checks:
+        return [], []  # nothing to evaluate: the source is not read
     chunks = source.chunks(shards)
     if len(chunks) == 1:
         partials = [_scan_chunk(source, chunks[0], checks, stop_after)]

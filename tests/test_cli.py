@@ -332,6 +332,38 @@ class TestVerifyCommand:
         )
         assert code == 2 and "no such corpus" in err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_corpus_rejected(self, tmp_path, capsys, monkeypatch):
+        # a scan counts the records, then seeks back: a pipe cannot serve
+        fifo = tmp_path / "c.fifo"
+        os.mkfifo(fifo)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("corpus opened")
+
+        monkeypatch.setattr(reslab.verify, "open", no_open, raising=False)
+        code, out, err = run(
+            ["verify", "--check", "thm2_sandwich", "--corpus", str(fifo)],
+            capsys=capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: corpus must be a regular file: {fifo}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_corpus_file_on_dev_stdin(self, tmp_path):
+        p = tmp_path / "c.g6"
+        p.write_text(f"{K3_G6}\n{C4_G6}\n")
+        args = ["--check", "thm1_residue_le_alpha", "--corpus", "/dev/stdin", "--shards", "1"]
+        with open(p) as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "reslab.cli", "verify", *args],
+                stdin=fh,
+                capture_output=True,
+                text=True,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert "scanned:         2" in proc.stdout
+
     def test_enum_cap_default(self, capsys, monkeypatch):
         monkeypatch.delenv("RESLAB_MAX_N", raising=False)
         code, _, err = run(

@@ -14,6 +14,7 @@ from reslab.graphs import (
     Graph,
     Graph6Error,
     _certificate,
+    _graph6_mask,
     canonical_form,
     complement,
     degree_sequence,
@@ -249,6 +250,17 @@ class TestGraph6:
         ring = Graph(62, [(v, (v + 1) % 62) for v in range(62)])
         assert from_graph6(to_graph6(ring)) == ring
 
+    def test_mask_codec_roundtrip(self):
+        # the payload is the edge mask over pair_order(n): every labeled
+        # graph with n <= 6, and seeded masks up to n = 62
+        rng = random.Random(62)
+        cases = [(n, m) for n in range(7) for m in range(1 << n * (n - 1) // 2)]
+        cases += [
+            (n, rng.getrandbits(n * (n - 1) // 2)) for n in range(7, 63) for _ in range(8)
+        ]
+        for n, m in cases:
+            assert _graph6_mask(to_graph6(Graph.from_mask(n, m))) == (n, m)
+
     def test_header_tolerated_on_input_only(self):
         assert from_graph6(">>graph6<<Bw") == K3
         assert not to_graph6(K3).startswith(">>")
@@ -296,6 +308,12 @@ class TestGraph6:
             from_graph6("Bx")
         assert "padding" in str(ei.value)
         assert ei.value.offset == 1
+
+    def test_every_padding_bit_rejected(self):
+        # K3's payload byte holds its 3 edge bits, then 3 padding bits
+        for pad in range(3):
+            with pytest.raises(Graph6Error, match="padding"):
+                from_graph6("B" + chr(63 + (0b111000 | 1 << pad)))
 
     def test_header_offsets_shift(self):
         with pytest.raises(Graph6Error) as ei:

@@ -83,8 +83,28 @@ def test_corpus8_flags_match_networkx():
         records = [line.strip() for line in fh if line.strip()]
     for record in random.Random(1008).sample(records, 256):
         g = from_graph6(record)
-        f = verify._corpus_facts(g)
+        f = verify._corpus_facts(g.n, g.mask())
         assert reslab_flags(f) == nx_flags(nx_graph(g.n, g.edges()), members), record
+
+
+def test_graph6_decode_matches_networkx():
+    with open(CORPUS8) as fh:
+        records = [line.strip() for line in fh if line.strip()]
+    assert len(records) == 12346
+    for record in records:
+        h = nx.from_graph6_bytes(record.encode())
+        g = from_graph6(record)
+        assert g.n == h.number_of_nodes(), record
+        assert sorted(g.edges()) == sorted(tuple(sorted(e)) for e in h.edges()), record
+
+
+def test_graph6_encode_matches_networkx():
+    rng = random.Random(1062)
+    for n in range(63):
+        for _ in range(20):
+            g = Graph.from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            h = nx_graph(n, g.edges())
+            assert nx.to_graph6_bytes(h, header=False).decode() == to_graph6(g) + "\n"
 
 
 def test_graph_facts_flags_match_networkx():

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -217,6 +218,17 @@ class TestRunSuite:
     def test_invalid_shards(self):
         with pytest.raises(ValueError):
             run_suite(EnumerationSource(3), [CheckId.THM2_SANDWICH], shards=0)
+
+    def test_no_checks_reads_no_source(self):
+        class Unreadable(EnumerationSource):
+            def chunks(self, shards):
+                raise AssertionError("source read")
+
+        assert run_suite(Unreadable(6), [], shards=4) == []
+        with pytest.raises(ValueError):
+            run_suite(Unreadable(6), [], shards=0)
+        with pytest.raises(TypeError):
+            run_suite("corpus.g6", [])
 
     def test_repeated_check_rejected(self):
         # counted once per repeat, it would report 16 applicable of 8 scanned
@@ -475,7 +487,7 @@ class TestCorpusFlags:
     def assert_matches_search(self, g):
         """Check the flags and levels; return the flags, which unlike the
         MDI mask a relabeling keeps."""
-        f = verify._corpus_facts(g)
+        f = verify._corpus_facts(g.n, g.mask())
         assert type(f) is corpus_facts_class(g.n)
         ref = verify.GraphFacts(g)
         got = self.flags(f)
@@ -502,7 +514,7 @@ class TestCorpusFlags:
         for mask in random.Random(2028).sample(range(1 << 28), 1 << 12):
             self.assert_matches_search(Graph.from_mask(8, mask))
         for n in range(ENUM_CAP + 1):
-            f = verify._corpus_facts(empty(n))
+            f = verify._corpus_facts(n, 0)
             assert self.levels(f) == (n, 1 << n, (1 << n) - 1)
 
     def test_bundle_reads_no_exact_search(self, monkeypatch, tmp_path):
@@ -550,15 +562,15 @@ class TestCorpusFlags:
         for n, cls in want.items():
             assert corpus_facts_class(n) is cls, n
             for g in (empty(n), complete(n)):
-                f = verify._corpus_facts(g)
+                f = verify._corpus_facts(g.n, g.mask())
                 assert type(f) is cls, n
-                assert f.graph is g, n  # counterexamples echo the record
+                assert f.graph == g, n  # counterexamples echo the record
 
     def test_labeled_path_matches_per_graph(self):
         # every fact the labeled scan is held to, the guided run included
         for n in range(7):
             for mask in range(1 << (n * (n - 1) // 2)):
-                f = verify._corpus_facts(Graph.from_mask(n, mask))
+                f = verify._corpus_facts(n, mask)
                 TestLayerTables.assert_matches_per_graph(f)
 
     def test_flags_search_builds_the_catalog_once(self, monkeypatch):
@@ -605,7 +617,7 @@ class TestCorpusFlags:
         assert searched == want
 
     def test_records_over_eight_vertices_search(self):
-        assert type(verify._corpus_facts(empty(9))) is verify.GraphFacts
+        assert type(verify._corpus_facts(9, 0)) is verify.GraphFacts
         (rep,) = run_suite(CorpusSource(CORPUS8), [CheckId.THM_BM_C4P5], shards=1)
         assert rep.applicable == 1267  # the {C4, P5}-free classes on 8 vertices
 
@@ -747,6 +759,38 @@ class TestCorpusSource:
             outputs.append((dicts, capsys.readouterr().err))
         assert outputs[0] == outputs[1]
         assert [line.split(":")[2] for line in outputs[0][1].splitlines()] == ["4", "6", "8"]
+
+    def test_long_line_read_in_bounded_pieces(self, tmp_path, capsys):
+        # a line over the limit is one skipped record, dropped without
+        # being held whole; the line numbers after it stay right
+        p = self.make_corpus(tmp_path, ["Bw", "?" * (4 << 20), "Cl", "bad!"])
+        check = CheckId.THM1_RESIDUE_LE_ALPHA
+        tracemalloc.start()
+        try:
+            (rep,) = run_suite(CorpusSource(p), [check], shards=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert rep.scanned == 2 and rep.skipped_records == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"warning: {p}:2: skipping record: line longer than 1024 characters",
+            f"warning: {p}:4: skipping record: record truncated: "
+            "expected 100 payload bytes, got 3 (byte offset 4)",
+        ]
+        # the second chunk starts at Cl, past the long line
+        assert [c[2:] for c in CorpusSource(p).chunks(2)] == [(0, 1), (3 + (4 << 20) + 1, 3)]
+        (two,) = run_suite(CorpusSource(p), [check], shards=2)
+        assert (two.scanned, two.skipped_records) == (2, 2)
+        assert capsys.readouterr().err == err
+
+    def test_line_limit_boundary(self, tmp_path, capsys):
+        # 1024 characters before the line end are read; 1025 are not
+        p = self.make_corpus(tmp_path, ["?" + " " * 1023, "?" + " " * 1024])
+        (rep,) = run_suite(CorpusSource(p), [CheckId.THM2_SANDWICH], shards=1)
+        assert rep.scanned == 1 and rep.skipped_records == 1
+        assert ":2: skipping record: line longer than 1024" in capsys.readouterr().err
 
     def test_hunt_warns_only_about_records_read(self, tmp_path, capsys):
         a3 = to_graph6(gen_f_member("A", 3).graph)  # fails f_members_are_mdi
