@@ -28,10 +28,11 @@ def _read_graph_arg(text: str) -> graphs.Graph:
     return graphs.from_graph6(text)
 
 
-def _first_record(lines) -> graphs.Graph:
-    for line in lines:
-        if line.strip():
-            return graphs.from_graph6(line.strip())
+def _first_record(fh) -> graphs.Graph:
+    for _, text in verify._records(fh, 1):  # lines read in bounded pieces
+        if text is None:
+            raise ValueError(f"line longer than {verify._LINE_LIMIT} characters")
+        return graphs.from_graph6(text)
     raise graphs.Graph6Error("empty record", 0)
 
 

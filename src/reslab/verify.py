@@ -145,17 +145,17 @@ def _spanning_patterns(k: int) -> tuple[tuple[Graph, int, int], ...]:
     return tuple(p for p in _flagged_patterns(k) if p[0].n == k)
 
 
-def _searched_flags(g: Graph, patterns, out: int = 0) -> int:
+def _searched_flags(f: GraphFacts, patterns, out: int = 0) -> int:
     """`out` with the flag added of each (pattern, flag, edge count) of
-    `patterns` that g holds induced.  A flag already set is not searched
-    for again, nor a pattern with as many vertices as g and another edge
-    count, which cannot be a relabeling of g."""
-    edges = g.edge_count
+    `patterns` that f.graph holds induced.  A flag already set is not
+    searched for again, nor a pattern with as many vertices as f and
+    another edge count, which cannot be a relabeling of f.graph."""
+    edges = f.edge_count
     for pattern, flag, pattern_edges in patterns:
         if (
             flag & ~out
-            and (pattern.n < g.n or pattern_edges == edges)
-            and find_induced(g, pattern) is not None
+            and (pattern.n < f.n or pattern_edges == edges)
+            and find_induced(f.graph, pattern) is not None
         ):
             out |= flag
     return out
@@ -237,11 +237,11 @@ class GraphFacts:
     def c4(self) -> int:
         """The C4 bit of flags, searched without the catalog; _MaskFacts
         reads it, and the P5 bit, from its flags byte."""
-        return _searched_flags(self.graph, [_C4_ENTRY])
+        return _searched_flags(self, [_C4_ENTRY])
 
     @_lazy
     def p5(self) -> int:
-        return _searched_flags(self.graph, [_P5_ENTRY])
+        return _searched_flags(self, [_P5_ENTRY])
 
     @_lazy
     def flags(self) -> int:
@@ -254,7 +254,7 @@ class GraphFacts:
         """
         out = self.c4 | self.p5
         if out & _C4_FLAG:
-            out = _searched_flags(self.graph, _flagged_patterns(self.n)[2:], out)
+            out = _searched_flags(self, _flagged_patterns(self.n)[2:], out)
         return out
 
     def pipeline(self, v: int) -> tuple[Graph, int, int]:
@@ -579,7 +579,10 @@ def _decode(records, skipped: list):
 # An 8-vertex record reads C4, P5 and catalog-member presence from the
 # same flag tables through its 6- and 7-vertex induced subgraphs, and
 # alpha, the Maxine sizes and the MDI mask through two deletions into
-# _level(6), the degrees of G - v being those of G less v's row.
+# _level(6).  Its guided run takes two steps by the band rule, v* in G and
+# w* in G - v*, on the degree vectors the chunk tables give, and ends as
+# that of G - v* - w* does in _hh_level(6); it deletes nothing once no
+# edge is left, and strands if a step finds no dominating vertex.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
@@ -639,13 +642,46 @@ def _stars(n: int) -> list[list[int]]:
     return out
 
 
+def _degree_class(n: int, packed: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(max-degree vertices, band, sorted degrees) of a degree vector
+    packed base n, the band being GE | GT << 8 as the "Labeled scans"
+    comment defines them; GE holds the max-degree vertices."""
+    degs = []
+    for _ in range(n):
+        packed, d = divmod(packed, n)
+        degs.append(d)
+    seq = tuple(sorted(degs, reverse=True))
+    top, theta = (seq[0], seq[seq[0]]) if n else (0, 0)
+    tops, ge, gt = [], 0, 0
+    for v, d in enumerate(degs):
+        if d >= theta:
+            ge |= 1 << v
+            gt |= (d > theta) << v
+            if d == top:
+                tops.append(v)
+    return tuple(tops), ge | gt << 8, seq
+
+
+def _dominating(n: int, mask: int, tops, band: int) -> int | None:
+    """The guided run's first deletion in an n-vertex graph with an edge,
+    given by its edge mask and its degree vector's tops and band; None if
+    no vertex dominates, so that the run strands."""
+    below, above = ((1 << n) - 1) ^ (band & 255), band >> 8
+    stars = _stars(n)
+    for v in tops:
+        star = stars[v]
+        # v dominates iff it sees every vertex above theta and none below
+        if not mask & star[below] and mask & star[above] == star[above]:
+            return v
+    return None
+
+
 class _DegreeClasses:
-    """Degree vectors of n-vertex graphs, packed base n (see
-    _chunk_tables), grouped by (max-degree vertices, sorted degrees);
-    each class also carries the residue.  Classes are found as a scan
-    meets their vectors.  Only the guided run reads a vector's band,
-    GE | GT << 8 as the "Labeled scans" comment defines them, so the
-    band array is allocated, and each band found, on first use."""
+    """Degree vectors of n-vertex graphs, packed base n, grouped by
+    (max-degree vertices, sorted degrees); each class also carries the
+    residue.  Classes are found as a scan meets their vectors.  Only the
+    guided run reads a vector's band, so the band array is allocated,
+    and each band found, on first use."""
 
     def __init__(self, n: int):
         self.n = n
@@ -657,31 +693,16 @@ class _DegreeClasses:
     def bands(self) -> array:
         return array("H", bytes(2 * self.n**self.n))  # 0: band not found yet
 
-    def band(self, packed: int, seq: tuple[int, ...]) -> int:
-        """Find and store the band of a degree vector whose sorted degrees
-        are seq, with top = seq[0] >= 1; GE holds the max-degree vertices,
-        so no band is 0."""
-        n, theta = self.n, seq[seq[0]]
-        ge = gt = 0
-        rest = packed
-        for v in range(n):
-            d = rest % n  # v's degree
-            rest //= n
-            ge |= (d >= theta) << v
-            gt |= (d > theta) << v
-        self.bands[packed] = out = ge | gt << 8
+    def band(self, packed: int) -> int:
+        self.bands[packed] = out = _degree_class(self.n, packed)[1]
         return out
 
     def add(self, packed: int) -> int:
-        n = self.n
-        degs = [packed // n**v % n for v in range(n)]
-        top = max(degs, default=0)
-        seq = tuple(sorted(degs, reverse=True))
-        key = (tuple(v for v in range(n) if degs[v] == top), seq)
-        cid = self._index.get(key)
+        tops, _, seq = _degree_class(self.n, packed)
+        cid = self._index.get((tops, seq))
         if cid is None:
-            cid = self._index[key] = len(self.classes)
-            self.classes.append(key + (_residue_of_sequence(seq),))
+            cid = self._index[tops, seq] = len(self.classes)
+            self.classes.append((tops, seq, _residue_of_sequence(seq)))
         self.ids[packed] = cid
         return cid
 
@@ -689,19 +710,45 @@ class _DegreeClasses:
 _degree_classes = lru_cache(maxsize=None)(_DegreeClasses)
 
 
-def _all_masks(k: int):
-    return _layer_facts(k, 0, 1 << len(_pairs(k)))
+def _blocks(n: int, lo: int, hi: int):
+    """The n-vertex edge masks lo..hi-1 as runs (base, xs, high_deg,
+    high_subs) of the masks base | x, x in xs, which share the chunk
+    lookups of the bits above the low 7: their degree vector and
+    high_subs[v], their edge mask of G - v."""
+    deg, sub = _chunk_tables(n)
+    for high in range(lo >> _CHUNK, ((hi - 1) >> _CHUNK) + 1):
+        high_deg = 0
+        high_subs = [0] * n
+        for c in range(1, len(deg)):
+            x = high >> _CHUNK * (c - 1) & _CHUNK_MASK
+            high_deg += deg[c][x]
+            for v in range(n):
+                high_subs[v] |= sub[v][c][x]
+        base = high << _CHUNK
+        xs = range(max(lo - base, 0), min(hi - base, 1 << _CHUNK))
+        yield base, xs, high_deg, high_subs
 
 
 @lru_cache(maxsize=None)
 def _level(k: int) -> tuple[bytearray, bytearray]:
     """alpha and Maxine size bitmask of every labeled k-vertex graph,
     indexed by edge mask; bytes suffice for k <= 7 (ENUM_CAP - 1)."""
-    alphas = bytearray()
-    sizes = bytearray()
-    for f in _all_masks(k):
-        alphas.append(f.alpha)
-        sizes.append(f.maxine_sizes)
+    alphas, sizes = bytearray([k]), bytearray([1 << k])  # the edgeless graph
+    below_alphas, below_sizes = _level(k - 1) if k else (None, None)
+    pairs, (deg, sub), classes = _pairs(k), _chunk_tables(k), _degree_classes(k)
+    low_sub = [s[0] for s in sub]
+    for base, xs, high_deg, high_subs in _blocks(k, 1, 1 << len(pairs)):
+        for x in xs:
+            mask = base | x
+            u, w = pairs[(mask & -mask).bit_length() - 1]
+            a = below_alphas[high_subs[u] | low_sub[u][x]]
+            b = below_alphas[high_subs[w] | low_sub[w][x]]
+            alphas.append(a if a > b else b)
+            packed = high_deg + deg[0][x]
+            size_mask = 0
+            for v in classes.classes[classes.ids[packed] or classes.add(packed)][0]:
+                size_mask |= below_sizes[high_subs[v] | low_sub[v][x]]
+            sizes.append(size_mask)
     return alphas, sizes
 
 
@@ -709,7 +756,18 @@ def _level(k: int) -> tuple[bytearray, bytearray]:
 def _hh_level(k: int) -> bytearray:
     """Guided-run outcome of every labeled k-vertex graph, by edge mask:
     0 when the run strands, else the survivor count + 1."""
-    return bytearray(0 if f.hh_size is None else f.hh_size + 1 for f in _all_masks(k))
+    out = bytearray([k + 1])  # the edgeless graph deletes nothing
+    below = _hh_level(k - 1) if k else None
+    (deg, sub), classes = _chunk_tables(k), _degree_classes(k)
+    low_sub = [s[0] for s in sub]
+    for base, xs, high_deg, high_subs in _blocks(k, 1, 1 << len(_pairs(k))):
+        for x in xs:
+            packed = high_deg + deg[0][x]
+            tops = classes.classes[classes.ids[packed] or classes.add(packed)][0]
+            band = classes.bands[packed] or classes.band(packed)
+            v = _dominating(k, base | x, tops, band)
+            out.append(0 if v is None else below[high_subs[v] | low_sub[v][x]])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -775,11 +833,20 @@ _SIX_INDEX = [
 ]
 
 
+@lru_cache(maxsize=1 << 12)
+def _seven_class(packed: int) -> tuple[tuple[int, ...], int]:
+    """(max-degree vertices, band) of a 7-vertex degree vector."""
+    return _degree_class(7, packed)[:2]
+
+
 class _FlagFacts(_MaskFacts):
     """Facts of an 8-vertex graph, read from the 6-vertex tables through
     its induced subgraphs instead of searched: alpha, the Maxine sizes
-    and the MDI mask from _level(6), and C4, P5 and catalog-member
-    presence from the flags byte."""
+    and the MDI mask from _level(6), C4, P5 and catalog-member presence
+    from the flags byte, and the guided run from _hh_level(6) after its
+    first two deletions.  The degrees of G and G - v come from their
+    packed degree vectors: `graph` is built only for the checks that
+    need the graph itself and for an 8-vertex member's search."""
 
     @_lazy
     def deletions(self) -> list[int]:
@@ -801,11 +868,41 @@ class _FlagFacts(_MaskFacts):
         ]
 
     @_lazy
+    def _class(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+        m = self.mask
+        a, b, c, d = _chunk_tables(8)[0]
+        packed = a[m & 127] + b[m >> 7 & 127] + c[m >> 14 & 127] + d[m >> 21]
+        return _degree_class(8, packed)
+
+    degrees = property(lambda self: self._class[2])
+
+    def _less(self, v: int) -> tuple[tuple[int, ...], int]:
+        """(max-degree vertices, band) of G - v."""
+        m = self.deletions[v]
+        a, b, c = _chunk_tables(7)[0]
+        return _seven_class(a[m & 127] + b[m >> 7 & 127] + c[m >> 14])
+
+    @_lazy
+    def hh_size(self) -> int | None:
+        """The guided run's first deletion v, and its second, w in G - v;
+        the run then ends as that of G - v - w does."""
+        if not self.mask:
+            return 8
+        v = _dominating(8, self.mask, *self._class[:2])
+        if v is None:
+            return None
+        if not self.deletions[v]:
+            return 7
+        w = _dominating(7, self.deletions[v], *self._less(v))
+        code = 0 if w is None else _hh_level(6)[self.sixes[_SIX_INDEX[v][w]]]
+        return code - 1 if code else None
+
+    @_lazy
     def flags(self) -> int:
         """Each 7-vertex induced subgraph gives its relabeling bit, and
         each 6-vertex one its _flag_level(6) entry.  An 8-vertex member
-        can only be a relabeling of G, so it is searched for only when its
-        edge count is G's."""
+        can only be a relabeling of G, so it is searched for, and G built,
+        only when its edge count is G's."""
         seven, six = _relabeled_flags(7), _flag_level(6)
         out = 0
         for m in self.deletions:
@@ -813,7 +910,7 @@ class _FlagFacts(_MaskFacts):
         for m in self.sixes:
             out |= six[m]
         if out & _C4_FLAG:  # every catalog member holds an induced C4
-            out = _searched_flags(self.graph, _spanning_patterns(8), out)
+            out = _searched_flags(self, _spanning_patterns(8), out)
         return out
 
     @_lazy
@@ -824,8 +921,6 @@ class _FlagFacts(_MaskFacts):
         n, mask = self.n, self.mask
         if not mask:
             return n, 1 << n, (1 << n) - 1
-        adj = self.graph.adj
-        degs = [a.bit_count() for a in adj]
         alphas, sizes = _level(6)
         sevens, sixes, pairs7 = self.deletions, self.sixes, _pairs(7)
 
@@ -837,26 +932,21 @@ class _FlagFacts(_MaskFacts):
             a, b = pairs7[(m & -m).bit_length() - 1]
             return max(alphas[sixes[index[a]]], alphas[sixes[index[b]]])
 
-        def sizes_of(v):  # degrees of G - v: those of G less v's row
+        def sizes_of(v):  # over the max-degree vertices of G - v
             if not sevens[v]:
                 return 1 << 7
-            row, index, out = adj[v], _SIX_INDEX[v], 0
-            sub = [d - (row >> x & 1) for x, d in enumerate(degs) if x != v]
-            top = max(sub)
-            for x, d in enumerate(sub):
-                if d == top:
-                    out |= sizes[sixes[index[x]]]
+            index, out = _SIX_INDEX[v], 0
+            for x in self._less(v)[0]:
+                out |= sizes[sixes[index[x]]]
             return out
 
         u, w = _pairs(n)[(mask & -mask).bit_length() - 1]
         alpha = max(alpha_of(u), alpha_of(w))
-        top = max(degs)
         got = mdi = 0
-        for v, d in enumerate(degs):
-            if d == top:
-                got |= sizes_of(v)
-                if alpha_of(v) < alpha:
-                    mdi |= 1 << v
+        for v in self._class[0]:
+            got |= sizes_of(v)
+            if alpha_of(v) < alpha:
+                mdi |= 1 << v
         return alpha, got, mdi
 
     @_lazy
@@ -905,17 +995,13 @@ class _LayerFacts(_MaskFacts):
         if not mask:
             return n
         classes = _degree_classes(n)
-        band = classes.bands[self._packed] or classes.band(self._packed, self.degrees)
-        below, above = ((1 << n) - 1) ^ (band & 255), band >> 8
-        stars = _stars(n)
-        for v in self._tops:
-            star = stars[v]
-            # v dominates iff it sees every vertex above theta and none below
-            if not mask & star[below] and mask & star[above] == star[above]:
-                sub = _chunk_tables(n)[1][v][0][mask & _CHUNK_MASK]
-                code = _hh_level(n - 1)[self._high_subs[v] | sub]
-                return code - 1 if code else None
-        return None
+        band = classes.bands[self._packed] or classes.band(self._packed)
+        v = _dominating(n, mask, self._tops, band)
+        if v is None:
+            return None
+        sub = _chunk_tables(n)[1][v][0][mask & _CHUNK_MASK]
+        code = _hh_level(n - 1)[self._high_subs[v] | sub]
+        return code - 1 if code else None
 
     @_lazy
     def flags(self) -> int:
@@ -931,8 +1017,7 @@ class _LayerFacts(_MaskFacts):
 
 def _layer_facts(n: int, lo: int, hi: int):
     """Facts of the labeled n-vertex graphs with edge masks lo..hi-1, in
-    counting order.  The low 7 mask bits vary fastest, so the chunk
-    lookups of the higher bits are made once per 128 graphs."""
+    counting order."""
     pairs = _pairs(n)
     deg, sub = _chunk_tables(n)
     alphas, sizes = _level(n - 1) if n else (None, None)
@@ -941,16 +1026,8 @@ def _layer_facts(n: int, lo: int, hi: int):
     low_deg = deg[0]
     low_sub = [s[0] for s in sub]
     edgeless = (n, 1 << n, (1 << n) - 1)
-    for high in range(lo >> _CHUNK, ((hi - 1) >> _CHUNK) + 1):
-        high_deg = 0
-        high_subs = [0] * n
-        for c in range(1, len(deg)):
-            x = high >> _CHUNK * (c - 1) & _CHUNK_MASK
-            high_deg += deg[c][x]
-            for v in range(n):
-                high_subs[v] |= sub[v][c][x]
-        base = high << _CHUNK
-        for x in range(max(lo - base, 0), min(hi - base, 1 << _CHUNK)):
+    for base, xs, high_deg, high_subs in _blocks(n, lo, hi):
+        for x in xs:
             mask = base | x
             packed = high_deg + low_deg[x]
             degclass = classes[ids[packed] or degree_classes.add(packed)]

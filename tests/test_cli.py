@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,24 @@ class TestResidue:
             ["residue", "-"], stdin="\n  \n", capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == 2 and out == "" and "empty record" in err
+
+    def test_long_line_read_in_bounded_pieces(self, tmp_path, capsys, monkeypatch):
+        # the first record of @file or stdin is read as corpus lines are,
+        # so a line of several MB is refused without being held whole
+        long = "~" * (4 << 20)
+        p = tmp_path / "long.g6"
+        p.write_text(long + "\n" + C4_G6 + "\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n" + long + "\n"))
+        for arg in (f"@{p}", "-"):
+            tracemalloc.start()
+            try:
+                code, out, err = run(["residue", arg], capsys=capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and out == ""
+            assert err == "error: line longer than 1024 characters\n"
+            assert peak < 1 << 20, arg
 
     def test_parse_errors_exit_2(self, capsys):
         code, _, err = run(["residue", "~zz"], capsys=capsys)

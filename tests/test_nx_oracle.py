@@ -1,7 +1,7 @@
 """A second oracle, independent of tests/oracles.py: networkx's VF2
-matcher decides the forbidden-structure facts that labeled and corpus
-scans read from their layered tables.  Skipped when networkx is not
-installed."""
+matcher decides the forbidden-structure facts, and its clique search
+the independence numbers, that labeled and corpus scans read from their
+layered tables.  Skipped when networkx is not installed."""
 
 import os
 import random
@@ -85,6 +85,19 @@ def test_corpus8_flags_match_networkx():
         g = from_graph6(record)
         f = verify._corpus_facts(g.n, g.mask())
         assert reslab_flags(f) == nx_flags(nx_graph(g.n, g.edges()), members), record
+
+
+def test_corpus8_alpha_matches_networkx():
+    # the corpus scan reads alpha through two deletions into _level(6);
+    # networkx finds it as the largest clique of the complement
+    with open(CORPUS8) as fh:
+        records = [line.strip() for line in fh if line.strip()]
+    assert len(records) == 12346
+    for record in records:
+        h = nx.complement(nx.from_graph6_bytes(record.encode()))
+        g = from_graph6(record)
+        f = verify._corpus_facts(g.n, g.mask())
+        assert f.alpha == max(map(len, nx.find_cliques(h))), record
 
 
 def test_graph6_decode_matches_networkx():

@@ -350,6 +350,20 @@ class TestLayerTables:
             assert f.mask == mask
             self.assert_matches_per_graph(f)
 
+    def test_level_tables_match_per_graph(self):
+        # the tables the scans read one vertex down, built by their own
+        # walk, on every mask
+        for k in range(7):
+            alphas, sizes = verify._level(k)
+            hh = verify._hh_level(k)
+            total = 1 << (k * (k - 1) // 2)
+            assert len(alphas) == len(sizes) == len(hh) == total
+            for mask in range(total):
+                ref = verify.GraphFacts(Graph.from_mask(k, mask))
+                want_hh = 0 if ref.hh_size is None else ref.hh_size + 1
+                got = (alphas[mask], sizes[mask], hh[mask])
+                assert got == (ref.alpha, ref.maxine_sizes, want_hh), (k, mask)
+
     @staticmethod
     def layer_hh_size(g: Graph) -> int | None:
         mask = g.mask()
@@ -485,14 +499,17 @@ class TestCorpusFlags:
         return f.alpha, f.maxine_sizes, f.mdi_mask
 
     def assert_matches_search(self, g):
-        """Check the flags and levels; return the flags, which unlike the
-        MDI mask a relabeling keeps."""
+        """Check the flags, levels, degrees, residue and guided run; return
+        the flags, which unlike the MDI mask and the guided run, whose
+        ties are broken by the labeling, a relabeling keeps."""
         f = verify._corpus_facts(g.n, g.mask())
         assert type(f) is corpus_facts_class(g.n)
         ref = verify.GraphFacts(g)
         got = self.flags(f)
         assert got == self.flags(ref), to_graph6(g)
         assert self.levels(f) == self.levels(ref), to_graph6(g)
+        assert (f.degrees, f.residue) == (ref.degrees, ref.residue), to_graph6(g)
+        assert f.hh_size == ref.hh_size, to_graph6(g)
         return got
 
     def test_every_corpus8_record(self):
@@ -518,8 +535,9 @@ class TestCorpusFlags:
             assert self.levels(f) == (n, 1 << n, (1 << n) - 1)
 
     def test_bundle_reads_no_exact_search(self, monkeypatch, tmp_path):
-        # records with at most 8 vertices take their alpha, MDI mask and
-        # Maxine sizes from the tables; larger ones still search
+        # records with at most 8 vertices take their alpha, MDI mask,
+        # Maxine sizes, degrees and guided run from the tables and degree
+        # vectors; larger ones still search
         calls = []
 
         def count(name):
@@ -531,7 +549,8 @@ class TestCorpusFlags:
 
             monkeypatch.setattr(verify, name, wrapped)
 
-        for name in ("_alpha_mask", "_mdi_mask", "_maxine_sizes"):
+        searches = ("_alpha_mask", "_maxine_sizes", "_mdi_mask", "degree_sequence", "maxine_hh")
+        for name in searches:
             count(name)
         reports = run_suite(CorpusSource(CORPUS8), THEOREM_CHECKS, shards=1)
         assert all(r.scanned == 12346 and r.counterexamples == () for r in reports)
@@ -539,7 +558,7 @@ class TestCorpusFlags:
         corpus = tmp_path / "nine.g6"
         corpus.write_text(to_graph6(cycle(8)) + "\n" + to_graph6(cycle(9)) + "\n")
         run_suite(CorpusSource(str(corpus)), THEOREM_CHECKS, shards=1)
-        assert sorted(calls) == ["_alpha_mask", "_maxine_sizes", "_mdi_mask"]
+        assert sorted(calls) == list(searches)
 
     def test_relabeled_corpus8_records(self):
         rng = random.Random(10)
