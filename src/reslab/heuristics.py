@@ -52,6 +52,17 @@ child's sizes lie in [ceil(t/3), floor(t/2)], which depends on s alone.
 Once the union so far holds that interval, no later child with |I| = s
 can add a size, and the sweep skips it.
 
+The walk that lists the sets I skips whole subtrees by the same rule.
+A node of the walk has taken a set r and may still take vertices of p,
+a subset of T with no neighbour in r; each set it yields is r | D with D
+a subset of p.  A vertex of p outside D is not in I and has no
+neighbour in r, so it has one in D: D dominates G[p].  Each vertex of D
+dominates itself and at most 3 others, so |D| >= ceil(|p|/4).  D is
+independent, so it holds at most one end of each edge of a matching M
+of G[p], and |D| <= |p| - |M|; a greedy M will do.  Once every s in
+[|r| + ceil(|p|/4), |r| + |p| - |M|] is skipped, no set below the node
+can add a size, and the walk leaves it.
+
 The merge argument above holds for any components, so the sweep starts
 with one run per component of G and takes the sumset of their S.  It
 splits there only: testing connectivity at every state costs more than
@@ -62,7 +73,9 @@ smallest degree is at least its non-neighbours' largest.  With
 D = deg(v), that holds exactly when the degrees over N(v) sum to the D
 largest degrees of the other vertices: any D of those degrees sum to at
 most the D largest, with equality only when no degree left out exceeds
-one taken.  So one degree pass serves every candidate v.
+one taken.  So one degree pass serves every candidate v, and the run
+keeps those degrees from one deletion to the next: deleting v lowers
+each of its neighbours' by one.
 """
 
 from __future__ import annotations
@@ -239,14 +252,17 @@ def _paths_and_cycles_sizes(adj, mask: int, deg2: int) -> int:
     return (1 << hi + 1) - (1 << lo)
 
 
-def _maximal_independent_sets(adj, p: int, x: int = 0, r: int = 0):
+def _maximal_independent_sets(adj, p: int, x: int = 0, r: int = 0, prune=None):
     """Yield r | D for each independent set D of the graph `adj` induces
     on p that is maximal there and that no vertex of x could extend.
 
-    Bron-Kerbosch with a pivot, on the complement's cliques: a maximal D
-    holds the pivot u (the lowest vertex of p) or a neighbour of u, else
-    u could join it, so only those start a branch; x collects the
-    vertices already branched on, which later sets must not admit.
+    Bron-Kerbosch with Tomita's pivot, on the complement's cliques: for
+    any u of p | x, a yielded D holds a vertex of p & N[u], else u could
+    join it, so only those start a branch.  u is the vertex with the
+    fewest, or the first with at most 2 (scanning on cost more than it
+    saved); an x vertex with none ends the subtree.  x collects the
+    vertices already branched on, which later sets must not admit.  The
+    walk leaves an inner node when prune(r, p) is true.
     """
     if not p & p - 1:
         # at most one vertex left, which must join: r | p is maximal
@@ -254,13 +270,24 @@ def _maximal_independent_sets(adj, p: int, x: int = 0, r: int = 0):
         if not x & ~(adj[p.bit_length() - 1] if p else 0):
             yield r | p
         return
-    b = p & -p
-    branch = p & adj[b.bit_length() - 1] | b
+    if prune is not None and prune(r, p):
+        return
+    branch, most = p, p.bit_count()
+    m = p | x
+    while m:
+        b = m & -m
+        m ^= b
+        nb = p & (adj[b.bit_length() - 1] | b)
+        k = nb.bit_count()
+        if k < most:
+            branch, most = nb, k
+            if k <= 2:
+                break
     while branch:
         b = branch & -branch
         branch ^= b
         keep = ~(adj[b.bit_length() - 1] | b)
-        yield from _maximal_independent_sets(adj, p & keep, x & keep, r | b)
+        yield from _maximal_independent_sets(adj, p & keep, x & keep, r | b, prune)
         p ^= b
         x |= b
 
@@ -295,17 +322,31 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
                 deg2 |= b
         # every child with |d| = s has its sizes in the interval of
         # t = base + s (module docstring); `covered` holds the s whose
-        # interval `out` already holds, and their children are skipped
+        # interval `out` already holds: their children are skipped, and
+        # so is every subtree of the walk that reaches no other s
         base = 2 * mask.bit_count() - degsum // 2
         out = covered = 0
-        for d in _maximal_independent_sets(adj, cands):
+
+        def prune(r: int, p: int) -> bool:
+            k, left = r.bit_count(), p.bit_count()
+            lo = k + (left + 3) // 4
+            if not covered >> lo & 1:
+                return False
+            hi = k + left
+            m = p  # less one per edge of a greedy matching of G[p]
+            while m:
+                b = m & -m
+                m ^= b
+                nb = adj[b.bit_length() - 1] & m
+                if nb:
+                    m ^= nb & -nb
+                    hi -= 1
+            span = (1 << hi + 1) - (1 << lo)
+            return covered & span == span
+
+        for d in _maximal_independent_sets(adj, cands, prune=prune):
             s = d.bit_count()
             if covered >> s & 1:
-                continue
-            t = base + s
-            span = (1 << t // 2 + 1) - (1 << -(-t // 3))
-            if out & span == span:
-                covered |= 1 << s
                 continue
             child = mask ^ d
             got = memo.get(child)
@@ -326,7 +367,20 @@ def _maxine_sizes_mask(adj, mask: int, memo: dict) -> int:
                     # three edges with each of its vertices
                     got = 1 << (child.bit_count() - degsum // 2 + 3 * s)
                 memo[child] = got
-            out |= got
+            if got & ~out:
+                out |= got
+                # anew: the interval of t (t >= 2, so not empty) lies in
+                # a run [a, b] of out exactly when 3a - 2 <= t <= 2b + 1
+                covered = 0
+                o = out
+                while o:
+                    low = o & -o
+                    run = o & ~(o + low)
+                    o ^= run
+                    lo = max(3 * low.bit_length() - 5 - base, 0)
+                    hi = 2 * run.bit_length() - 1 - base
+                    if hi >= lo:
+                        covered |= (1 << hi + 1) - (1 << lo)
     else:
         # one whole phase at degree `best`: delete a maximal independent
         # set of the max-degree vertices (module docstring)
@@ -361,20 +415,26 @@ def maxine_hh(g: Graph) -> MaxineOutcome:
     the surviving graph is edgeless.
     """
     adj = g.adj
-    mask = (1 << g.n) - 1
+    nbrs = [list(_bits(row)) for row in adj]
+    degs = [row.bit_count() for row in adj]  # 0 once deleted
     deletions = []
-    step = 0
-    while mask:
-        best, hh = _hh_vertices_mask(adj, mask)
+    while True:
+        best = max(degs, default=0)
         if best == 0:
             break
-        if not hh:
-            raise NoHHVertexError("no degree-dominating vertex available", step)
-        v = (hh & -hh).bit_length() - 1
+        # the test of _hh_vertices_mask; a deleted vertex adds 0
+        want = sum(sorted(degs, reverse=True)[1 : best + 1])
+        for v, d in enumerate(degs):
+            if d == best and sum([degs[u] for u in nbrs[v]]) == want:
+                break
+        else:
+            raise NoHHVertexError("no degree-dominating vertex available", len(deletions))
         deletions.append(v)
-        mask ^= 1 << v
-        step += 1
-    return MaxineOutcome(tuple(deletions), _mask_to_set(mask))
+        degs[v] = 0
+        for u in nbrs[v]:
+            if degs[u]:  # still there: a neighbour of v has degree >= 1
+                degs[u] -= 1
+    return MaxineOutcome(tuple(deletions), frozenset(range(g.n)).difference(deletions))
 
 
 def maxine_hh_sizes(g: Graph) -> frozenset[int]:

@@ -224,7 +224,7 @@ class TestMaxineAllOracle:
         assert maxine_all(cycle(32)).achievable_sizes == set(range(11, 17))
 
     @pytest.mark.parametrize(
-        "n,d", [(12, 3), (14, 3), (16, 3), (10, 4), (12, 4), (14, 4)]
+        "n,d", [(12, 3), (14, 3), (16, 3), (10, 4), (12, 4), (14, 4), (10, 3)]
     )
     @pytest.mark.parametrize("seed", range(3))
     def test_relabeled_regular(self, n, d, seed):
@@ -233,7 +233,9 @@ class TestMaxineAllOracle:
         g = regular(n, d, seed * 100 + n)
         assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g)
 
-    @pytest.mark.parametrize("sizes", [(6, 8), (8, 8), (8, 10)])
+    @pytest.mark.parametrize(
+        "sizes", [(6, 8), (8, 8), (8, 10), (4, 6), (4, 8), (6, 6), (4, 10)]
+    )
     def test_union_of_two_cubic_graphs(self, sizes):
         a, b = (regular(k, 3, 7 * k) for k in sizes)
         g = oracles.disjoint_union(a, b)
@@ -337,20 +339,56 @@ class TestPathsAndCyclesIntervals:
         g = subcubic(8 + seed % 7, seed)
         assert maxine_all(g).achievable_sizes == oracles.brute_maxine_sizes(g), g
 
+    @pytest.mark.parametrize(
+        "n,seed,sizes",
+        [
+            (16, 1, {5, 6, 7}),
+            (16, 2, {4, 5, 6, 7}),
+            (18, 1, {5, 6, 7, 8}),
+            (18, 2, {5, 6, 7, 8}),
+            (20, 1, {6, 7, 8}),
+            (20, 2, {6, 7, 8, 9}),
+            (22, 1, {6, 7, 8, 9}),
+            (22, 2, {6, 7, 8, 9, 10}),
+            (24, 1, {7, 8, 9, 10}),
+            (24, 2, {7, 8, 9, 10}),
+        ],
+    )
+    def test_cubic_16_to_24_pinned(self, n, seed, sizes):
+        # the sizes the sweep gave before the walk dropped covered subtrees
+        assert maxine_all(regular(n, 3, 1000 * seed + n)).achievable_sizes == sizes
+
+    @pytest.mark.parametrize(
+        "a,b,sizes", [(6, 10, {5, 6}), (8, 8, {5, 6}), (10, 12, {7, 8, 9}), (12, 12, {8, 9, 10})]
+    )
+    def test_two_cubic_pinned(self, a, b, sizes):
+        g = oracles.disjoint_union(regular(a, 3, 50 + a), regular(b, 3, 60 + b))
+        g = oracles.relabel(g, random.Random(a * b).sample(range(g.n), g.n))
+        assert maxine_all(g).achievable_sizes == sizes
+
     def test_cubic_24_skips_covered_children(self, monkeypatch):
         # every vertex ties, so the phase has one child per maximal
-        # independent set; most of them are skipped without a walk
+        # independent set; most of them are skipped without a walk, and
+        # the walk drops the subtrees that reach only skipped sizes
         g = regular(24, 3, 124)
         sets = sum(1 for _ in _maximal_independent_sets(g.adj, (1 << 24) - 1))
-        calls = []
+        calls, leaves = [], []
 
         def counted(adj, mask, deg2):
             calls.append(mask)
             return _paths_and_cycles_sizes(adj, mask, deg2)
 
+        def walk(adj, p, *args, **kwargs):
+            if not p & p - 1:
+                leaves.append(p)
+            return _maximal_independent_sets(adj, p, *args, **kwargs)
+
         monkeypatch.setattr("reslab.heuristics._paths_and_cycles_sizes", counted)
+        monkeypatch.setattr("reslab.heuristics._maximal_independent_sets", walk)
         assert maxine_all(g).achievable_sizes == set(range(7, 12))
-        assert sets == 606 and len(calls) < sets
+        # 10 children and 41 leaves; the walk without the prune reaches
+        # a leaf for each of the 606 sets
+        assert sets == 606 and len(calls) <= 15 and len(leaves) <= 60
 
 
 class TestMaximalIndependentSets:
@@ -370,6 +408,41 @@ class TestMaximalIndependentSets:
                     got = list(_maximal_independent_sets(g.adj, p))
                     assert len(got) == len(expected) and set(got) == expected, (g, p)
 
+    def test_prune_that_never_fires(self):
+        # the walk asks at its inner nodes and, told no, yields what it
+        # yields without a predicate, in the same order
+        asked = []
+
+        def never(r, p):
+            asked.append(p)
+            return False
+
+        for n in range(6):
+            for g in enumerate_labeled(n):
+                for p in range(1 << n):
+                    got = list(_maximal_independent_sets(g.adj, p, prune=never))
+                    assert got == list(_maximal_independent_sets(g.adj, p)), (g, p)
+        assert asked
+
+    def test_prune_on_size_keeps_sets_maximal(self):
+        # dropping every subtree that has taken an odd number of vertices
+        # loses sets, but each set yielded is still maximal independent
+        def odd(r, p):
+            return r.bit_count() % 2 == 1
+
+        dropped = 0
+        for n in range(6):
+            for g in enumerate_labeled(n):
+                for p in range(1 << n):
+                    full = list(_maximal_independent_sets(g.adj, p))
+                    got = list(_maximal_independent_sets(g.adj, p, prune=odd))
+                    assert len(set(got)) == len(got) and set(got) <= set(full), (g, p)
+                    for s in got:
+                        assert not any(g.adj[v] & s for v in range(n) if s >> v & 1)
+                        assert all(g.adj[v] & s for v in range(n) if (p & ~s) >> v & 1)
+                    dropped += len(full) - len(got)
+        assert dropped
+
 
 class TestMaxineHH:
     def test_p5_guided_run(self):
@@ -385,6 +458,62 @@ class TestMaxineHH:
                 except NoHHVertexError:
                     continue
                 assert out.size == residue(g), g
+
+    @staticmethod
+    def recounted(g: Graph) -> tuple[tuple[int, ...], int | None]:
+        # the guided run with every degree recounted at each step: the
+        # deletions, and the step where it strands (None if it completes)
+        mask = (1 << g.n) - 1
+        deletions = []
+        while mask:
+            best, hh = _hh_vertices_mask(g.adj, mask)
+            if best == 0:
+                break
+            if not hh:
+                return tuple(deletions), len(deletions)
+            v = (hh & -hh).bit_length() - 1
+            deletions.append(v)
+            mask ^= 1 << v
+        return tuple(deletions), None
+
+    def assert_recounted(self, g: Graph) -> int | None:
+        deletions, step = self.recounted(g)
+        if step is None:
+            out = maxine_hh(g)
+            assert out.deletions == deletions, g
+            assert out.survivors == set(range(g.n)) - set(deletions), g
+        else:
+            with pytest.raises(NoHHVertexError) as ei:
+                maxine_hh(g)
+            assert ei.value.step == step, g
+        return step
+
+    def test_kept_degrees_match_recount_to_n6(self):
+        for n in range(7):
+            for g in enumerate_labeled(n):
+                self.assert_recounted(g)
+
+    def test_kept_degrees_match_recount_corpus8(self):
+        with open(CORPUS8, encoding="ascii") as fh:
+            for line in fh:
+                if line.strip():
+                    self.assert_recounted(from_graph6(line.strip()))
+
+    def test_kept_degrees_match_recount_sparse(self):
+        # seeded cubic graphs to 24 vertices, unions of two of them, and
+        # subcubic graphs, on which the run often strands
+        rng = random.Random(46)
+        strands = 0
+        for n in range(4, 25, 2):
+            for seed in range(4):
+                graphs = [regular(n, 3, 300 * seed + n), subcubic(n + 4, 31 * seed + n)]
+                if n >= 8:
+                    a = rng.choice(range(4, n - 3, 2))
+                    two = oracles.disjoint_union(regular(a, 3, seed), regular(n - a, 3, n + seed))
+                    graphs.append(oracles.relabel(two, rng.sample(range(n), n)))
+                for g in graphs:
+                    strands += self.assert_recounted(g) is not None
+        assert strands
 
     def test_stranding_raises_with_step(self):
         # unique max-degree vertex 0 has a pendant neighbor (degree 1)
