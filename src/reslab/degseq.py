@@ -136,7 +136,8 @@ def hh_realization(entries) -> Graph:
     adj = [0] * n
     step = 0
     while any(residual):
-        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        # stable, so ties keep the lower vertex id first
+        order = sorted(range(n), key=residual.__getitem__, reverse=True)
         v0 = order[0]
         r0 = residual[v0]
         targets = [v for v in order[1:] if not adj[v0] >> v & 1]

@@ -214,21 +214,6 @@ def enumerate_labeled(n: int) -> Iterator[Graph]:
     return _enum_range(n, 0, 1 << len(pair_order(n)))
 
 
-def _perm_edge_tables(n: int) -> Iterator[list[int]]:
-    """For every permutation of 0..n-1, where each edge-mask bit lands;
-    one table at a time, since n = 8 has 40,320 of them."""
-    from itertools import permutations
-
-    pairs = pair_order(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    for perm in permutations(range(n)):
-        table = []
-        for i, j in pairs:
-            a, b = perm[i], perm[j]
-            table.append(index[(a, b) if a < b else (b, a)])
-        yield table
-
-
 def _certificate(n: int, adj) -> int:
     """The least edge mask over the leaves of a refine-and-individualise
     search (McKay & Piperno, "Practical graph isomorphism, II", 2014), so

@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import islice, starmap
+from struct import unpack
 
 from ._version import __version__
 from .degseq import hh_realization, residue_seq
@@ -26,7 +27,6 @@ from .graphs import (
     _bits,
     _graph6_mask,
     _pairs,
-    _perm_edge_tables,
     degree_sequence,
     to_graph6,
 )
@@ -576,16 +576,50 @@ def _decode(records, skipped: list):
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
 # vertex MDI, and a guided run that deletes nothing.  Corpus records with
 # at most 6 vertices are scanned as the labeled graph of their edge mask.
-# An 8-vertex record reads C4, P5 and catalog-member presence from the
-# same flag tables through its 6- and 7-vertex induced subgraphs, and
-# alpha, the Maxine sizes and the MDI mask through two deletions into
-# _level(6).  Its guided run takes two steps by the band rule, v* in G and
-# w* in G - v*, on the degree vectors the chunk tables give, and ends as
-# that of G - v* - w* does in _hh_level(6); it deletes nothing once no
-# edge is left, and strands if a step finds no dominating vertex.
+# An 8-vertex record finds, in one pass when it is read, the edge masks of
+# each G - v and G - v - x (all of either from one packed lookup per
+# chunk), its degrees (v has |E(G)| - |E(G - v)|) and, through two
+# deletions into _level(6), alpha, the Maxine sizes and the MDI mask.  It
+# reads C4, P5 and catalog-member presence from the same flag tables
+# through its 6- and 7-vertex induced subgraphs, the 7-vertex relabelings
+# of a pattern being its orbit under the adjacent transpositions, which
+# generate every permutation.  Its guided run takes two steps by the band
+# rule, v* in G and w* in G - v*, on the degree vectors the chunk tables
+# give, and ends as that of G - v* - w* does in _hh_level(6); it deletes
+# nothing once no edge is left, and strands if a step finds no dominating
+# vertex.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _chunk_table(n: int, weight) -> list[list[int]]:
+    """out[c][x]: the sum of weight(i, j) over the edges (i, j) that
+    chunk c of an n-vertex edge mask holds when its bits read x."""
+    pairs = _pairs(n)
+    out = []
+    for lo in range(0, max(len(pairs), 1), _CHUNK):
+        row = [0]
+        for i, j in pairs[lo : lo + _CHUNK]:
+            w = weight(i, j)
+            row += [r + w for r in row]
+        out.append(row)
+    return out
+
+
+def _edge_bit(i: int, j: int) -> int:
+    """The bit of edge (i, j) in a pair_order edge mask."""
+    if i > j:
+        i, j = j, i
+    return 1 << (j * (j - 1) // 2 + i)
+
+
+def _kept_bit(gone, i: int, j: int) -> int:
+    """The bit of edge (i, j) once the vertices of `gone` are deleted and
+    those above them move down; 0 if the edge meets one of them."""
+    if i in gone or j in gone:
+        return 0
+    return _edge_bit(i - sum(i > g for g in gone), j - sum(j > g for g in gone))
 
 
 @lru_cache(maxsize=None)
@@ -598,32 +632,9 @@ def _chunk_tables(n: int):
     pair_order(n - 1) once v is deleted and the vertices above v move
     down by one.
     """
-    pairs = _pairs(n)
-    spans = [pairs[i : i + _CHUNK] for i in range(0, len(pairs), _CHUNK)] or [()]
-
-    def table(weight):
-        # weight(i, j): what edge (i, j) adds to an entry when its bit is set
-        out = []
-        for span in spans:
-            row = [0]
-            for i, j in span:
-                w = weight(i, j)
-                row += [r + w for r in row]
-            out.append(row)
-        return out
-
-    def kept_edge(v):
-        def weight(i, j):
-            if v in (i, j):
-                return 0
-            i, j = i - (i > v), j - (j > v)
-            return 1 << (j * (j - 1) // 2 + i)
-
-        return weight
-
     return (
-        table(lambda i, j: n**i + n**j),
-        [table(kept_edge(v)) for v in range(n)],
+        _chunk_table(n, lambda i, j: n**i + n**j),
+        [_chunk_table(n, partial(_kept_bit, (v,))) for v in range(n)],
     )
 
 
@@ -635,23 +646,27 @@ def _stars(n: int) -> list[list[int]]:
     for v in range(n):
         row = [0]
         for u in range(n):
-            i, j = min(u, v), max(u, v)
-            edge = 1 << (j * (j - 1) // 2 + i) if u != v else 0
+            edge = _edge_bit(u, v) if u != v else 0
             row += [r | edge for r in row]
         out.append(row)
     return out
 
 
-def _degree_class(n: int, packed: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(max-degree vertices, band, sorted degrees) of a degree vector
-    packed base n, the band being GE | GT << 8 as the "Labeled scans"
-    comment defines them; GE holds the max-degree vertices."""
+def _unpacked(n: int, packed: int) -> list[int]:
+    """The degree of each vertex, from a degree vector packed base n."""
     degs = []
     for _ in range(n):
         packed, d = divmod(packed, n)
         degs.append(d)
+    return degs
+
+
+def _degree_class(degs: list[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(max-degree vertices, band, sorted degrees) of the degrees of the
+    vertices in order, the band being GE | GT << 8 as the "Labeled scans"
+    comment defines them; GE holds the max-degree vertices."""
     seq = tuple(sorted(degs, reverse=True))
-    top, theta = (seq[0], seq[seq[0]]) if n else (0, 0)
+    top, theta = (seq[0], seq[seq[0]]) if seq else (0, 0)
     tops, ge, gt = [], 0, 0
     for v, d in enumerate(degs):
         if d >= theta:
@@ -694,11 +709,11 @@ class _DegreeClasses:
         return array("H", bytes(2 * self.n**self.n))  # 0: band not found yet
 
     def band(self, packed: int) -> int:
-        self.bands[packed] = out = _degree_class(self.n, packed)[1]
+        self.bands[packed] = out = _degree_class(_unpacked(self.n, packed))[1]
         return out
 
     def add(self, packed: int) -> int:
-        tops, _, seq = _degree_class(self.n, packed)
+        tops, _, seq = _degree_class(_unpacked(self.n, packed))
         cid = self._index.get((tops, seq))
         if cid is None:
             cid = self._index[tops, seq] = len(self.classes)
@@ -791,15 +806,34 @@ def _flag_level(k: int) -> bytearray:
 @lru_cache(maxsize=None)
 def _relabeled_flags(k: int) -> dict[int, int]:
     """Flags of the k-vertex edge masks that relabel a flagged pattern
-    with exactly k vertices, OR-ed over those patterns."""
-    patterns = [(list(_bits(g.mask())), flag) for g, flag, _ in _spanning_patterns(k)]
+    with exactly k vertices, OR-ed over those patterns.  Each pattern's
+    relabelings are its orbit under the adjacent transpositions (t, t + 1),
+    which generate every permutation; the chunk tables give a mask's
+    images under all of them at once, 32 bits apart, which holds k <= 8."""
+    ts = range(k - 1)
+
+    def images(i, j):  # where edge (i, j) goes under each (t, t + 1)
+        out = 0
+        for t in ts:
+            move = {t: t + 1, t + 1: t}
+            out |= _edge_bit(move.get(i, i), move.get(j, j)) << 32 * t
+        return out
+
+    swaps, shifts = _chunk_table(k, images), range(0, len(_pairs(k)), _CHUNK)
+    fmt, size = f"<{len(ts)}I", 4 * len(ts)
     out: dict[int, int] = {}
-    for table in _perm_edge_tables(k):
-        for bits, flag in patterns:
-            image = 0
-            for b in bits:
-                image |= 1 << table[b]
-            out[image] = out.get(image, 0) | flag
+    for g, flag, _ in _spanning_patterns(k):
+        orbit = new = {g.mask()}
+        while new:
+            # a relabeling moves each edge bit to its own place, so the
+            # chunks' images are disjoint and add up to the image
+            xss = ([m >> c & _CHUNK_MASK for c in shifts] for m in new)
+            packed = [sum(map(list.__getitem__, swaps, xs)) for xs in xss]
+            new = {i for p in packed for i in unpack(fmt, p.to_bytes(size, "little"))}
+            new -= orbit
+            orbit |= new
+        for m in orbit:
+            out[m] = out.get(m, 0) | flag
     return out
 
 
@@ -833,54 +867,103 @@ _SIX_INDEX = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _induced_tables() -> tuple[list[list[int]], list[list[int]]]:
+    """Chunk tables of an 8-vertex edge mask whose four lookups give all
+    its induced subgraphs one and two vertices smaller at once: G - v
+    over pair_order(7) in the 32 bits from 32 v, and G - v - x over
+    pair_order(6) in the 16 bits from 16 times the position of the pair
+    (x, v) in pair_order(8)."""
+    pairs = _pairs(8)
+
+    def sevens(i, j):
+        return sum(_kept_bit((v,), i, j) << 32 * v for v in range(8))
+
+    def sixes(i, j):
+        return sum(_kept_bit(p, i, j) << 16 * k for k, p in enumerate(pairs))
+
+    return _chunk_table(8, sevens), _chunk_table(8, sixes)
+
+
 @lru_cache(maxsize=1 << 12)
 def _seven_class(packed: int) -> tuple[tuple[int, ...], int]:
     """(max-degree vertices, band) of a 7-vertex degree vector."""
-    return _degree_class(7, packed)[:2]
+    return _degree_class(_unpacked(7, packed))[:2]
 
 
 class _FlagFacts(_MaskFacts):
     """Facts of an 8-vertex graph, read from the 6-vertex tables through
-    its induced subgraphs instead of searched: alpha, the Maxine sizes
-    and the MDI mask from _level(6), C4, P5 and catalog-member presence
-    from the flags byte, and the guided run from _hh_level(6) after its
-    first two deletions.  The degrees of G and G - v come from their
-    packed degree vectors: `graph` is built only for the checks that
-    need the graph itself and for an 8-vertex member's search."""
+    its induced subgraphs instead of searched.  One pass at construction
+    finds the edge masks of each G - v and G - v - x, the degree class,
+    and from _level(6) alpha, the Maxine sizes and the MDI mask, by the
+    rules of the "Labeled scans" comment.  C4, P5 and catalog-member
+    presence (the flags byte) and the guided run, which _hh_level(6)
+    ends after its first two deletions, are read when a check asks.
+    `graph` is built only for the checks that need the graph itself and
+    for an 8-vertex member's search."""
 
-    @_lazy
-    def deletions(self) -> list[int]:
-        """The edge mask of G - v for each vertex v, over pair_order(7)."""
-        mask = self.mask  # the four 7-bit chunks of the 28-bit mask
+    def __init__(self, n: int, mask: int):
+        self.n = n
+        self.mask = mask
+        self._pipelines = {}
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = _induced_tables()
         x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
-        return [a[x0] | b[x1] | c[x2] | d[x3] for a, b, c, d in _chunk_tables(8)[1]]
-
-    @_lazy
-    def sixes(self) -> list[int]:
-        """The edge masks of the 6-vertex induced subgraphs, each once:
-        G - v - x for the pair (v, x) at its position in pair_order(8)."""
-        sub7 = _chunk_tables(7)[1]
-        ys = [(m & 127, m >> 7 & 127, m >> 14) for m in self.deletions]
-        return [
-            a[y0] | b[y1] | c[y2]
-            for x, (y0, y1, y2) in enumerate(ys)
-            for a, b, c in sub7[:x]
-        ]
-
-    @_lazy
-    def _class(self) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-        m = self.mask
-        a, b, c, d = _chunk_tables(8)[0]
-        packed = a[m & 127] + b[m >> 7 & 127] + c[m >> 14 & 127] + d[m >> 21]
-        return _degree_class(8, packed)
-
-    degrees = property(lambda self: self._class[2])
-
-    def _less(self, v: int) -> tuple[tuple[int, ...], int]:
-        """(max-degree vertices, band) of G - v."""
-        m = self.deletions[v]
-        a, b, c = _chunk_tables(7)[0]
-        return _seven_class(a[m & 127] + b[m >> 7 & 127] + c[m >> 14])
+        # the edge mask of G - v for each vertex v, over pair_order(7)
+        self.deletions = sevens = unpack(
+            "<8I", (a0[x0] | a1[x1] | a2[x2] | a3[x3]).to_bytes(32, "little")
+        )
+        # the 6-vertex induced subgraphs, each once: G - v - x for the
+        # pair (x, v) at its position in pair_order(8)
+        self.sixes = sixes = unpack(
+            "<28H", (b0[x0] | b1[x1] | b2[x2] | b3[x3]).to_bytes(56, "little")
+        )
+        self.edge_count = e = mask.bit_count()
+        # v has degree |E(G)| - |E(G - v)|
+        tops, self._band, seq = _degree_class([e - m.bit_count() for m in sevens])
+        self._tops, self.degrees = tops, seq
+        self.residue = _residue_of_sequence(seq)
+        self._less = less = {}  # (max-degree vertices, band) of G - v
+        if not mask:
+            self.alpha, self.maxine_sizes, self.mdi_mask = 8, 1 << 8, (1 << 8) - 1
+            return
+        alphas, sizes = _level(6)
+        (d0, d1, d2), pairs7 = _chunk_tables(7)[0], _pairs(7)
+        # alpha(G) = max(alpha(G - v0), alpha(G - y)) for the edge v0-y, v0
+        # the first max-degree vertex and y its first neighbour
+        v0 = tops[0]
+        star = mask & _stars(8)[v0][255]
+        p, q = _pairs(8)[(star & -star).bit_length() - 1]
+        y = p + q - v0
+        # alpha of each G - v, v of maximum degree, through an edge of
+        # G - v; the Maxine sizes, the union over those v of the sizes of
+        # G - v - x over the max-degree vertices x of G - v
+        less_alphas = []
+        got = 0
+        for v in tops:
+            m = sevens[v]
+            if not m:
+                less_alphas.append(7)
+                got |= 1 << 7
+                continue
+            index = _SIX_INDEX[v]
+            p, q = pairs7[(m & -m).bit_length() - 1]
+            ap, aq = alphas[sixes[index[p]]], alphas[sixes[index[q]]]
+            less_alphas.append(ap if ap > aq else aq)
+            cls = _seven_class(d0[m & 127] + d1[m >> 7 & 127] + d2[m >> 14])
+            less[v] = cls
+            for x in cls[0]:
+                got |= sizes[sixes[index[x]]]
+        alpha = max(less_alphas)
+        if y not in tops:  # so G - y has an edge, as a vertex meeting all is a top
+            m, index = sevens[y], _SIX_INDEX[y]
+            p, q = pairs7[(m & -m).bit_length() - 1]
+            alpha = max(alpha, alphas[sixes[index[p]]], alphas[sixes[index[q]]])
+        self.alpha, self.maxine_sizes = alpha, got
+        mdi = 0
+        for v, less_alpha in zip(tops, less_alphas):
+            if less_alpha < alpha:
+                mdi |= 1 << v
+        self.mdi_mask = mdi
 
     @_lazy
     def hh_size(self) -> int | None:
@@ -888,12 +971,12 @@ class _FlagFacts(_MaskFacts):
         the run then ends as that of G - v - w does."""
         if not self.mask:
             return 8
-        v = _dominating(8, self.mask, *self._class[:2])
+        v = _dominating(8, self.mask, self._tops, self._band)
         if v is None:
             return None
         if not self.deletions[v]:
             return 7
-        w = _dominating(7, self.deletions[v], *self._less(v))
+        w = _dominating(7, self.deletions[v], *self._less[v])
         code = 0 if w is None else _hh_level(6)[self.sixes[_SIX_INDEX[v][w]]]
         return code - 1 if code else None
 
@@ -912,54 +995,6 @@ class _FlagFacts(_MaskFacts):
         if out & _C4_FLAG:  # every catalog member holds an induced C4
             out = _searched_flags(self, _spanning_patterns(8), out)
         return out
-
-    @_lazy
-    def _levels(self) -> tuple[int, int, int]:
-        """(alpha, Maxine sizes, MDI mask) by the rules of the "Labeled
-        scans" comment, from alpha and the sizes of each G - v, each read
-        through a second deletion into _level(6)."""
-        n, mask = self.n, self.mask
-        if not mask:
-            return n, 1 << n, (1 << n) - 1
-        alphas, sizes = _level(6)
-        sevens, sixes, pairs7 = self.deletions, self.sixes, _pairs(7)
-
-        def alpha_of(v):  # through an edge of G - v
-            m = sevens[v]
-            if not m:
-                return 7
-            index = _SIX_INDEX[v]
-            a, b = pairs7[(m & -m).bit_length() - 1]
-            return max(alphas[sixes[index[a]]], alphas[sixes[index[b]]])
-
-        def sizes_of(v):  # over the max-degree vertices of G - v
-            if not sevens[v]:
-                return 1 << 7
-            index, out = _SIX_INDEX[v], 0
-            for x in self._less(v)[0]:
-                out |= sizes[sixes[index[x]]]
-            return out
-
-        u, w = _pairs(n)[(mask & -mask).bit_length() - 1]
-        alpha = max(alpha_of(u), alpha_of(w))
-        got = mdi = 0
-        for v in self._class[0]:
-            got |= sizes_of(v)
-            if alpha_of(v) < alpha:
-                mdi |= 1 << v
-        return alpha, got, mdi
-
-    @_lazy
-    def alpha(self) -> int:
-        return self._levels[0]
-
-    @_lazy
-    def maxine_sizes(self) -> int:
-        return self._levels[1]
-
-    @_lazy
-    def mdi_mask(self) -> int:
-        return self._levels[2]
 
 
 def _corpus_facts(n: int, mask: int) -> GraphFacts:

@@ -176,3 +176,8 @@ def disjoint_union(*parts: Graph) -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Graph with vertex v renamed perm[v]."""
     return Graph(g.n, ((perm[a], perm[b]) for a, b in g.edges()))
+
+
+def brute_relabelings(g: Graph) -> set[int]:
+    """The edge mask of g relabeled by each permutation of its vertices."""
+    return {relabel(g, perm).mask() for perm in permutations(range(g.n))}

@@ -1,5 +1,8 @@
 """Havel-Hakimi elimination: graphicality, traces, residue, realization."""
 
+import os
+import random
+
 import pytest
 
 import oracles
@@ -14,7 +17,45 @@ from reslab.degseq import (
     residue,
     residue_seq,
 )
-from reslab.graphs import Graph, degree_sequence
+from reslab.graphs import Graph, degree_sequence, from_graph6
+
+CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
+
+
+def lambda_key_realization(entries) -> tuple[int, ...]:
+    """The adjacency rows of hh_realization as built with the vertices
+    ordered by the key (-residual, id), raising as it raised."""
+    seq = normalized(entries)
+    n = len(seq)
+    residual = list(seq)
+    adj = [0] * n
+    step = 0
+    while any(residual):
+        order = sorted(range(n), key=lambda v: (-residual[v], v))
+        v0 = order[0]
+        r0 = residual[v0]
+        targets = [v for v in order[1:] if not adj[v0] >> v & 1]
+        if r0 > len(targets):
+            raise NonGraphicError(
+                f"entry {r0} exceeds remaining attachable vertices", step
+            )
+        residual[v0] = 0
+        for v in targets[:r0]:
+            residual[v] -= 1
+            if residual[v] < 0:
+                raise NonGraphicError("decrement drives an entry negative", step)
+            adj[v0] |= 1 << v
+            adj[v] |= 1 << v0
+        step += 1
+    return tuple(adj)
+
+
+def outcome(build, seq):
+    """build(seq), or the message and step of its NonGraphicError."""
+    try:
+        return build(seq)
+    except NonGraphicError as exc:
+        return str(exc), exc.step
 
 
 class TestNormalizeAndParse:
@@ -146,3 +187,22 @@ class TestRealization:
     def test_empty_inputs(self):
         assert hh_realization(()) == Graph(0)
         assert hh_realization((0, 0)) == Graph(2)
+
+    def test_matches_lambda_key_order(self):
+        # every sequence of n <= 7 entries below n (the degree sequences of
+        # the labeled graphs with n <= 7, and the non-graphic ones with
+        # their errors), corpus8's and those of seeded random graphs
+        seqs = set()
+        for n in range(8):
+            seqs.update(oracles.nonincreasing_sequences(n, max(n - 1, 0)))
+        with open(CORPUS8) as fh:
+            seqs.update(degree_sequence(from_graph6(r)) for r in fh if r.strip())
+        rng = random.Random(25)
+        for _ in range(3000):
+            n = rng.randrange(21)
+            p = rng.random()
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            seqs.add(degree_sequence(Graph(n, edges)))
+        for seq in seqs:
+            got = outcome(lambda s: hh_realization(s).adj, seq)
+            assert got == outcome(lambda_key_realization, seq), seq

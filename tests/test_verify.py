@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import oracles
 from reslab import independence, verify
 from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
 from reslab.heuristics import NoHHVertexError, maxine_hh
@@ -560,6 +561,22 @@ class TestCorpusFlags:
         run_suite(CorpusSource(str(corpus)), THEOREM_CHECKS, shards=1)
         assert sorted(calls) == list(searches)
 
+    def test_induced_subgraphs_unpacked(self):
+        # the packed chunk lookups give G - v at v and G - v - x at the
+        # position of the pair (x, v) in pair_order(8)
+        def without(g, gone):
+            at = {v: i for i, v in enumerate(v for v in range(g.n) if v not in gone)}
+            edges = [(at[a], at[b]) for a, b in g.edges() if a in at and b in at]
+            return Graph(len(at), edges).mask()
+
+        masks = random.Random(2029).sample(range(1 << 28), 300) + [0, (1 << 28) - 1]
+        for mask in masks:
+            g = Graph.from_mask(8, mask)
+            f = verify._FlagFacts(8, mask)
+            assert list(f.deletions) == [without(g, {v}) for v in range(8)], mask
+            want = [without(g, {x, v}) for v in range(8) for x in range(v)]
+            assert list(f.sixes) == want, mask
+
     def test_relabeled_corpus8_records(self):
         rng = random.Random(10)
         with open(CORPUS8) as fh:
@@ -845,6 +862,20 @@ class TestRelabeling:
                 assert Verdict.FAIL not in (base[hh], got[hh]), record
                 got[hh] = base[hh]
                 assert got == base, (record, perm)
+
+
+class TestRelabeledFlags:
+    def test_orbits_match_every_permutation(self):
+        # the flagged patterns' relabelings, walked as orbits under the
+        # adjacent transpositions, against the image under each of the k!
+        # permutations
+        for k in range(8):
+            want: dict[int, int] = {}
+            for g, flag, _ in verify._spanning_patterns(k):
+                for mask in oracles.brute_relabelings(g):
+                    want[mask] = want.get(mask, 0) | flag
+            assert verify._relabeled_flags(k) == want, k
+        assert len(want) == 5145
 
 
 class TestReportSchema:
