@@ -1,5 +1,7 @@
 """The public API, pinned so that any change to it shows up in review."""
 
+import tracemalloc
+from pathlib import Path
 from types import ModuleType
 
 import reslab
@@ -75,3 +77,47 @@ def test_star_import_binds_no_module():
     namespace: dict = {}
     exec("from reslab import *", namespace)
     assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
+
+
+# the names callers reach as reslab.verify.<name>, whichever module of the
+# package defines them
+VERIFY_NAMES = [
+    "CHECK_DESCRIPTIONS",
+    "CheckId",
+    "CorpusSource",
+    "EnumerationSource",
+    "GraphFacts",
+    "Verdict",
+    "VerifyReport",
+    "check_one",
+    "hunt",
+    "run_suite",
+]
+
+
+def test_verify_names_pinned():
+    from reslab import verify
+
+    assert [name for name in VERIFY_NAMES if not hasattr(verify, name)] == []
+    for name in set(VERIFY_NAMES) & set(reslab.__all__):
+        assert getattr(verify, name) is getattr(reslab, name), name
+
+
+def compile_peak(path: Path) -> int:
+    """Bytes the compiler holds at its peak while compiling one module."""
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(text, str(path), "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_module_compiles_far_above_graphs():
+    # where bytecode is not written, every process compiles the package
+    # from source, and the largest module's compile peak sets the memory
+    # peak of `import reslab`
+    peaks = {p.name: compile_peak(p) for p in Path(reslab.__file__).parent.glob("*.py")}
+    limit = 1.25 * peaks["graphs.py"]
+    assert {name: peak for name, peak in peaks.items() if peak > limit} == {}

@@ -11,7 +11,7 @@ import pytest
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
-from reslab import verify  # noqa: E402
+from reslab import facts, tablefacts, verify  # noqa: E402
 from reslab.graphs import Graph, from_graph6, pair_order, to_graph6  # noqa: E402
 from reslab.patterns import f_catalog  # noqa: E402
 
@@ -63,7 +63,7 @@ def nx_flags(host, members) -> tuple:
 
 
 def reslab_flags(f) -> tuple:
-    bits = (verify._C4_FLAG, verify._P5_FLAG, verify._MEMBER_FLAG, verify._RAW_MEMBER_FLAG)
+    bits = (facts._C4_FLAG, facts._P5_FLAG, facts._MEMBER_FLAG, facts._RAW_MEMBER_FLAG)
     return tuple(bool(f.flags & bit) for bit in bits)
 
 
@@ -72,7 +72,7 @@ def test_layer_flags_match_networkx(n):
     members = catalog(n)
     pairs = pair_order(n)
     for mask in random.Random(1000 + n).sample(range(1 << len(pairs)), 512):
-        (f,) = verify._layer_facts(n, mask, mask + 1)
+        (f,) = tablefacts._layer_facts(n, mask, mask + 1)
         host = nx_graph(n, (e for k, e in enumerate(pairs) if mask >> k & 1))
         assert reslab_flags(f) == nx_flags(host, members), (n, mask)
 
@@ -83,7 +83,7 @@ def test_corpus8_flags_match_networkx():
         records = [line.strip() for line in fh if line.strip()]
     for record in random.Random(1008).sample(records, 256):
         g = from_graph6(record)
-        f = verify._corpus_facts(g.n, g.mask())
+        f = tablefacts._corpus_facts(g.n, g.mask())
         assert reslab_flags(f) == nx_flags(nx_graph(g.n, g.edges()), members), record
 
 
@@ -96,7 +96,7 @@ def test_corpus8_alpha_matches_networkx():
     for record in records:
         h = nx.complement(nx.from_graph6_bytes(record.encode()))
         g = from_graph6(record)
-        f = verify._corpus_facts(g.n, g.mask())
+        f = tablefacts._corpus_facts(g.n, g.mask())
         assert f.alpha == max(map(len, nx.find_cliques(h))), record
 
 

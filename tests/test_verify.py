@@ -5,14 +5,17 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from collections import Counter
+from itertools import chain
 
 import pytest
 
 import oracles
-from reslab import independence, verify
-from reslab.graphs import ENUM_CAP, Graph, from_graph6, to_graph6
+from reslab import facts, independence, levels, tablefacts, verify
+from reslab.graphs import ENUM_CAP, Graph, _graph6_mask, _pairs, from_graph6, to_graph6
 from reslab.heuristics import NoHHVertexError, maxine_hh
 from reslab.patterns import (
+    _has_p5_star,
     complete,
     cycle,
     empty,
@@ -43,10 +46,10 @@ CORPUS8 = os.path.join(os.path.dirname(__file__), "data", "nonisomorphic8.g6")
 THEOREM_CHECKS = [c for c in ALL_CHECKS if c is not CheckId.F_MEMBERS_ARE_MDI]
 # GraphFacts.flags bits: C4, P5, a filtered catalog member, a raw member
 FLAG_BITS = (
-    verify._C4_FLAG,
-    verify._P5_FLAG,
-    verify._MEMBER_FLAG,
-    verify._RAW_MEMBER_FLAG,
+    facts._C4_FLAG,
+    facts._P5_FLAG,
+    facts._MEMBER_FLAG,
+    facts._RAW_MEMBER_FLAG,
 )
 
 
@@ -57,8 +60,8 @@ def flag_bits(f) -> tuple[bool, ...]:
 def corpus_facts_class(n: int) -> type:
     """The facts class a corpus record with n vertices is scanned with."""
     if n < 7:
-        return verify._LayerFacts
-    return verify._FlagFacts if n == 8 else verify.GraphFacts
+        return tablefacts._LayerFacts
+    return tablefacts._FlagFacts if n == 8 else verify.GraphFacts
 
 
 class TestCheckIds:
@@ -129,7 +132,7 @@ class TestCheckOne:
             check_one(empty(40), CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI)
         # a reduced graph with two maximum independent sets is a
         # counterexample, not an error
-        monkeypatch.setattr(verify, "_reduction_pipeline", lambda g, v, a: (C4, 0))
+        monkeypatch.setattr(facts, "_reduction_pipeline", lambda g, v, a: (C4, 0))
         assert check_one(P5, CheckId.LEMMA_REDUCTIONS_PRESERVE_MDI) is Verdict.FAIL
 
     def test_alpha_le2(self):
@@ -150,7 +153,7 @@ class TestCheckOne:
         # the path u-a-v-b-w, v = 0: its one maximum independent set is
         # {v, u, w} = {0, 1, 2}, and q = {a, b} = {3, 4} is not a clique
         reduced = Graph(5, [(1, 3), (3, 0), (0, 4), (4, 2)])
-        monkeypatch.setattr(verify, "_reduction_pipeline", lambda g, v, a: (reduced, 0))
+        monkeypatch.setattr(facts, "_reduction_pipeline", lambda g, v, a: (reduced, 0))
         c3o = gen_f_member("C", 3, "opposite").graph
         assert check_one(c3o, CheckId.Q_CLIQUES) is Verdict.FAIL
 
@@ -340,14 +343,14 @@ class TestLayerTables:
         for n in range(7):
             total = 1 << (n * (n - 1) // 2)
             masks = []
-            for f in verify._layer_facts(n, 0, total):
+            for f in tablefacts._layer_facts(n, 0, total):
                 self.assert_matches_per_graph(f)
                 masks.append(f.mask)
             assert masks == list(range(total))
 
     def test_seeded_sample_n7(self):
         for mask in random.Random(2024).sample(range(1 << 21), 1 << 12):
-            (f,) = verify._layer_facts(7, mask, mask + 1)
+            (f,) = tablefacts._layer_facts(7, mask, mask + 1)
             assert f.mask == mask
             self.assert_matches_per_graph(f)
 
@@ -355,28 +358,65 @@ class TestLayerTables:
         # the tables the scans read one vertex down, built by their own
         # walk, on every mask
         for k in range(7):
-            alphas, sizes = verify._level(k)
-            hh = verify._hh_level(k)
+            alphas, sizes = levels._level(k)
+            hh = levels._hh_level(k)
+            flags = levels._flag_level(k)
             total = 1 << (k * (k - 1) // 2)
-            assert len(alphas) == len(sizes) == len(hh) == total
+            assert len(alphas) == len(sizes) == len(hh) == len(flags) == total
             for mask in range(total):
                 ref = verify.GraphFacts(Graph.from_mask(k, mask))
                 want_hh = 0 if ref.hh_size is None else ref.hh_size + 1
-                got = (alphas[mask], sizes[mask], hh[mask])
-                assert got == (ref.alpha, ref.maxine_sizes, want_hh), (k, mask)
+                got = (alphas[mask], sizes[mask], hh[mask], flags[mask])
+                want = (ref.alpha, ref.maxine_sizes, want_hh, ref.flags)
+                assert got == want, (k, mask)
+
+    def test_seven_vertex_flag_level(self):
+        # labeled n = 8 scans read _flag_level(7), 2**21 entries; it is
+        # built from the level below without a Python int per mask
+        levels._flag_level.cache_clear()
+        levels._flag_level(6)
+        levels._relabeled_flags(7)
+        tracemalloc.start()
+        try:
+            flags = levels._flag_level(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+        assert len(flags) == 1 << 21
+        rng = random.Random(7)
+        for mask in rng.sample(range(1 << 21), 4096):
+            assert flags[mask] == verify.GraphFacts(Graph.from_mask(7, mask)).flags, mask
+
+    def test_p5_star_reads_the_p5_bit(self):
+        # table facts search for a P5 centred on an MDI vertex only on a
+        # host that holds a P5 at all
+        with open(CORPUS8) as fh:
+            records = [_graph6_mask(line.strip()) for line in fh if line.strip()]
+        hosts = chain(
+            (f for n in range(7) for f in tablefacts._layer_facts(n, 0, 1 << len(_pairs(n)))),
+            (tablefacts._corpus_facts(n, mask) for n, mask in records),
+        )
+        seen = Counter()
+        for f in hosts:
+            if f.mdi_mask:
+                got = f.p5_star
+                assert got == _has_p5_star(f.graph, f.mdi_mask), to_graph6(f.graph)
+                seen[bool(f.p5), got] += 1
+        assert seen.keys() == {(False, False), (True, False), (True, True)}
 
     @staticmethod
     def layer_hh_size(g: Graph) -> int | None:
         mask = g.mask()
-        (f,) = verify._layer_facts(g.n, mask, mask + 1)
+        (f,) = tablefacts._layer_facts(g.n, mask, mask + 1)
         return f.hh_size
 
     def test_sandwich_scan_allocates_no_bands(self):
-        verify._degree_classes.cache_clear()
+        levels._degree_classes.cache_clear()
         run_suite(EnumerationSource(5), [CheckId.THM2_SANDWICH], shards=1)
-        assert "bands" not in vars(verify._degree_classes(5))
+        assert "bands" not in vars(levels._degree_classes(5))
         run_suite(EnumerationSource(5), [CheckId.HH_DELETION_GIVES_RESIDUE], shards=1)
-        assert len(verify._degree_classes(5).bands) == 5**5
+        assert len(levels._degree_classes(5).bands) == 5**5
 
     def test_band_tie_at_theta_still_dominates(self):
         # P3 3-0-4 plus the edge 12: top = 2 and theta = 1, and vertices
@@ -430,7 +470,7 @@ class TestLayerTables:
             CheckId.THM_BM_C4P5,
             CheckId.COROLLARY_F_P5,
         ]
-        verify._catalog_upto(6)  # the catalog's own graphs, built once
+        facts._catalog_upto(6)  # the catalog's own graphs, built once
         built = self.count_builds(monkeypatch)
         reports = run_suite(EnumerationSource(6), checks, shards=1)
         assert [r.applicable for r in reports] == [32768, 32768, 25198, 14338, 24428]
@@ -462,7 +502,7 @@ class TestLayerTables:
     def test_reduction_checks_reuse_alpha_and_skip_copies(self, monkeypatch):
         # the scan's alpha serves every stage, and at n <= 6 both
         # reductions keep every vertex, so no stage copies the graph
-        verify._catalog_upto(6)  # its members' own MDI tests, once
+        facts._catalog_upto(6)  # its members' own MDI tests, once
         calls = []
 
         def counting(name, fn):
@@ -503,7 +543,7 @@ class TestCorpusFlags:
         """Check the flags, levels, degrees, residue and guided run; return
         the flags, which unlike the MDI mask and the guided run, whose
         ties are broken by the labeling, a relabeling keeps."""
-        f = verify._corpus_facts(g.n, g.mask())
+        f = tablefacts._corpus_facts(g.n, g.mask())
         assert type(f) is corpus_facts_class(g.n)
         ref = verify.GraphFacts(g)
         got = self.flags(f)
@@ -532,7 +572,7 @@ class TestCorpusFlags:
         for mask in random.Random(2028).sample(range(1 << 28), 1 << 12):
             self.assert_matches_search(Graph.from_mask(8, mask))
         for n in range(ENUM_CAP + 1):
-            f = verify._corpus_facts(n, 0)
+            f = tablefacts._corpus_facts(n, 0)
             assert self.levels(f) == (n, 1 << n, (1 << n) - 1)
 
     def test_bundle_reads_no_exact_search(self, monkeypatch, tmp_path):
@@ -542,13 +582,13 @@ class TestCorpusFlags:
         calls = []
 
         def count(name):
-            fn = getattr(verify, name)
+            fn = getattr(facts, name)
 
             def wrapped(*args):
                 calls.append(name)
                 return fn(*args)
 
-            monkeypatch.setattr(verify, name, wrapped)
+            monkeypatch.setattr(facts, name, wrapped)
 
         searches = ("_alpha_mask", "_maxine_sizes", "_mdi_mask", "degree_sequence", "maxine_hh")
         for name in searches:
@@ -572,7 +612,7 @@ class TestCorpusFlags:
         masks = random.Random(2029).sample(range(1 << 28), 300) + [0, (1 << 28) - 1]
         for mask in masks:
             g = Graph.from_mask(8, mask)
-            f = verify._FlagFacts(8, mask)
+            f = tablefacts._FlagFacts(8, mask)
             assert list(f.deletions) == [without(g, {v}) for v in range(8)], mask
             want = [without(g, {x, v}) for v in range(8) for x in range(v)]
             assert list(f.sixes) == want, mask
@@ -592,13 +632,13 @@ class TestCorpusFlags:
     def test_facts_class_follows_vertex_count(self):
         # the labeled tables up to 6 vertices, two deletions into the
         # 6-vertex tables at 8, the per-graph searches at 7 and beyond 8
-        want = {n: verify._LayerFacts for n in range(7)}
-        want.update({7: verify.GraphFacts, 8: verify._FlagFacts})
+        want = {n: tablefacts._LayerFacts for n in range(7)}
+        want.update({7: verify.GraphFacts, 8: tablefacts._FlagFacts})
         want.update({9: verify.GraphFacts, 12: verify.GraphFacts})
         for n, cls in want.items():
             assert corpus_facts_class(n) is cls, n
             for g in (empty(n), complete(n)):
-                f = verify._corpus_facts(g.n, g.mask())
+                f = tablefacts._corpus_facts(g.n, g.mask())
                 assert type(f) is cls, n
                 assert f.graph == g, n  # counterexamples echo the record
 
@@ -606,7 +646,7 @@ class TestCorpusFlags:
         # every fact the labeled scan is held to, the guided run included
         for n in range(7):
             for mask in range(1 << (n * (n - 1) // 2)):
-                f = verify._corpus_facts(n, mask)
+                f = tablefacts._corpus_facts(n, mask)
                 TestLayerTables.assert_matches_per_graph(f)
 
     def test_flags_search_builds_the_catalog_once(self, monkeypatch):
@@ -618,11 +658,11 @@ class TestCorpusFlags:
             builds.append((n, mdi_filter))
             return f_catalog(n, mdi_filter)
 
-        monkeypatch.setattr(verify, "f_catalog", counting)
-        verify._catalog_upto.cache_clear()
-        verify._flagged_patterns.cache_clear()
+        monkeypatch.setattr(facts, "f_catalog", counting)
+        facts._catalog_upto.cache_clear()
+        facts._flagged_patterns.cache_clear()
         f = verify.GraphFacts(gen_f_member("C", 6, "opposite").graph)
-        assert f.flags & verify._C4_FLAG and f.flags & verify._RAW_MEMBER_FLAG
+        assert f.flags & facts._C4_FLAG and f.flags & facts._RAW_MEMBER_FLAG
         assert builds == [(9, False)]
 
     @pytest.mark.parametrize(
@@ -645,15 +685,15 @@ class TestCorpusFlags:
         def no_catalog(*args):
             raise AssertionError("catalog built")
 
-        monkeypatch.setattr(verify, "find_induced", counting)
-        monkeypatch.setattr(verify, "f_catalog", no_catalog)
-        verify._catalog_upto.cache_clear()
-        verify._flagged_patterns.cache_clear()
+        monkeypatch.setattr(facts, "find_induced", counting)
+        monkeypatch.setattr(facts, "f_catalog", no_catalog)
+        facts._catalog_upto.cache_clear()
+        facts._flagged_patterns.cache_clear()
         assert check_one(g, check) is Verdict.NOT_APPLICABLE
         assert searched == want
 
     def test_records_over_eight_vertices_search(self):
-        assert type(verify._corpus_facts(9, 0)) is verify.GraphFacts
+        assert type(tablefacts._corpus_facts(9, 0)) is verify.GraphFacts
         (rep,) = run_suite(CorpusSource(CORPUS8), [CheckId.THM_BM_C4P5], shards=1)
         assert rep.applicable == 1267  # the {C4, P5}-free classes on 8 vertices
 
@@ -871,10 +911,10 @@ class TestRelabeledFlags:
         # permutations
         for k in range(8):
             want: dict[int, int] = {}
-            for g, flag, _ in verify._spanning_patterns(k):
+            for g, flag, _ in facts._spanning_patterns(k):
                 for mask in oracles.brute_relabelings(g):
                     want[mask] = want.get(mask, 0) | flag
-            assert verify._relabeled_flags(k) == want, k
+            assert levels._relabeled_flags(k) == want, k
         assert len(want) == 5145
 
 
