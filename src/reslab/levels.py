@@ -30,20 +30,19 @@ from .graphs import _pairs
 #   an induced C4, P5 or catalog member with fewer vertices than G misses
 #   some v, so it lies in G - v; one with as many is a relabeling of G.
 # An edgeless graph on k vertices has alpha = k, Maxine size {k}, every
-# vertex MDI, and a guided run that deletes nothing.  Corpus records with
-# at most 6 vertices are scanned as the labeled graph of their edge mask.
-# An 8-vertex record finds, in one pass when it is read, the edge masks of
-# each G - v and G - v - x (all of either from one packed lookup per
+# vertex MDI, and a guided run that deletes nothing.  A corpus record
+# with n <= 8 vertices finds, in one pass when it is read, the edge masks
+# of each G - v and G - v - x (all of either from one packed lookup per
 # chunk), its degrees (v has |E(G)| - |E(G - v)|) and, through two
-# deletions into _level(6), alpha, the Maxine sizes and the MDI mask.  It
-# reads C4, P5 and catalog-member presence from the same flag tables
-# through its 6- and 7-vertex induced subgraphs, the 7-vertex relabelings
-# of a pattern being its orbit under the adjacent transpositions, which
-# generate every permutation.  Its guided run takes two steps by the band
-# rule, v* in G and w* in G - v*, on the degree vectors the chunk tables
-# give, and ends as that of G - v* - w* does in _hh_level(6); it deletes
-# nothing once no edge is left, and strands if a step finds no dominating
-# vertex.
+# deletions into _level(n - 2), alpha, the Maxine sizes and the MDI mask.
+# It reads C4, P5 and catalog-member presence from the same flag tables
+# through its (n - 2)- and (n - 1)-vertex induced subgraphs, the
+# relabelings of a pattern being its orbit under the adjacent
+# transpositions, which generate every permutation.  Its guided run takes
+# two steps by the band rule, v* in G and w* in G - v*, on the degree
+# vectors the chunk tables give, and ends as that of G - v* - w* does in
+# _hh_level(n - 2); it deletes nothing once no edge is left, and strands
+# if a step finds no dominating vertex.
 
 _CHUNK = 7  # edge-mask bits per lookup
 _CHUNK_MASK = (1 << _CHUNK) - 1

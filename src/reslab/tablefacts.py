@@ -4,7 +4,7 @@ searched: every labeled graph, and corpus records with at most 8 vertices."""
 from __future__ import annotations
 
 from functools import lru_cache
-from struct import unpack
+from struct import Struct
 
 from .facts import (
     _C4_FLAG,
@@ -39,12 +39,7 @@ class _MaskFacts(GraphFacts):
     """GraphFacts of a graph given by its edge mask over pair_order(n),
     whose C4 and P5 bits are read from its flags byte, and whose P5* is
     searched for only when it holds a P5; `graph` is built only when a
-    check asks for it."""
-
-    def __init__(self, n: int, mask: int):
-        self.n = n
-        self.mask = mask
-        self._pipelines = {}
+    check asks for it.  Each subclass sets n, mask and _pipelines itself."""
 
     @_lazy
     def graph(self) -> Graph:
@@ -72,54 +67,60 @@ _SIX_INDEX = [
 
 
 @lru_cache(maxsize=None)
-def _induced_tables() -> tuple[list[list[int]], list[list[int]]]:
-    """Chunk tables of an 8-vertex edge mask whose four lookups give all
-    its induced subgraphs one and two vertices smaller at once: G - v
-    over pair_order(7) in the 32 bits from 32 v, and G - v - x over
-    pair_order(6) in the 16 bits from 16 times the position of the pair
-    (x, v) in pair_order(8)."""
-    pairs = _pairs(8)
+def _induced_tables(n: int):
+    """Lookups for an n-vertex edge mask, n <= 8, read in four 7-bit
+    chunks: chunk tables whose four lookups give all its induced
+    subgraphs one and two vertices smaller at once, G - v over
+    pair_order(n - 1) in the 32 bits from 32 v, and G - v - x over
+    pair_order(n - 2) in the 16 bits from 16 times the position of the
+    pair (x, v) in pair_order(n); a Struct to unpack each; and G - v's
+    degree-vector chunk tables and (max-degree vertices, band) cache."""
+    pairs, less = _pairs(n), max(n - 1, 0)
 
     def sevens(i, j):
-        return sum(_kept_bit((v,), i, j) << 32 * v for v in range(8))
+        return sum(_kept_bit((v,), i, j) << 32 * v for v in range(n))
 
     def sixes(i, j):
         return sum(_kept_bit(p, i, j) << 16 * k for k, p in enumerate(pairs))
 
-    return _chunk_table(8, sevens), _chunk_table(8, sixes)
+    def padded(tables, size):
+        return (*tables, *[[0]] * (size - len(tables)))
 
-
-@lru_cache(maxsize=1 << 12)
-def _seven_class(packed: int) -> tuple[tuple[int, ...], int]:
-    """(max-degree vertices, band) of a 7-vertex degree vector."""
-    return _degree_class(_unpacked(7, packed))[:2]
+    tables = padded(_chunk_table(n, sevens), 4), padded(_chunk_table(n, sixes), 4)
+    structs = Struct(f"<{n}I"), Struct(f"<{len(pairs)}H")
+    less_class = lru_cache(maxsize=1 << 12)(
+        lambda packed: _degree_class(_unpacked(less, packed))[:2]
+    )
+    return (*tables, *structs, padded(_chunk_tables(less)[0], 3), less_class)
 
 
 class _FlagFacts(_MaskFacts):
-    """Facts of an 8-vertex graph, read from the 6-vertex tables through
-    its induced subgraphs instead of searched.  One pass at construction
-    finds the edge masks of each G - v and G - v - x, the degree class,
-    and from _level(6) alpha, the Maxine sizes and the MDI mask, by the
-    rules of the "Labeled scans" comment.  C4, P5 and catalog-member
-    presence (the flags byte) and the guided run, which _hh_level(6)
-    ends after its first two deletions, are read when a check asks.
-    `graph` is built only for the checks that need the graph itself and
-    for an 8-vertex member's search."""
+    """Facts of an n-vertex graph, n <= 8, read from the (n - 2)-vertex
+    tables through its induced subgraphs instead of searched.  One pass
+    at construction finds the edge masks of each G - v and G - v - x, the
+    degree class, and from _level(n - 2) alpha, the Maxine sizes and the
+    MDI mask, by the rules of the "Labeled scans" comment.  C4, P5 and
+    catalog-member presence (the flags byte) and the guided run, which
+    _hh_level(n - 2) ends after its first two deletions, are read when a
+    check asks.  `graph` is built only for the checks that need the graph
+    itself and for a spanning pattern's search."""
 
     def __init__(self, n: int, mask: int):
         self.n = n
         self.mask = mask
         self._pipelines = {}
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = _induced_tables()
-        x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
-        # the edge mask of G - v for each vertex v, over pair_order(7)
-        self.deletions = sevens = unpack(
-            "<8I", (a0[x0] | a1[x1] | a2[x2] | a3[x3]).to_bytes(32, "little")
+        (a0, a1, a2, a3), (b0, b1, b2, b3), seven, six, deg, less_class = (
+            _induced_tables(n)
         )
-        # the 6-vertex induced subgraphs, each once: G - v - x for the
-        # pair (x, v) at its position in pair_order(8)
-        self.sixes = sixes = unpack(
-            "<28H", (b0[x0] | b1[x1] | b2[x2] | b3[x3]).to_bytes(56, "little")
+        x0, x1, x2, x3 = mask & 127, mask >> 7 & 127, mask >> 14 & 127, mask >> 21
+        # the edge mask of G - v for each vertex v, over pair_order(n - 1)
+        self.deletions = sevens = seven.unpack(
+            (a0[x0] | a1[x1] | a2[x2] | a3[x3]).to_bytes(seven.size, "little")
+        )
+        # the (n - 2)-vertex induced subgraphs, each once: G - v - x for
+        # the pair (x, v) at its position in pair_order(n)
+        self.sixes = sixes = six.unpack(
+            (b0[x0] | b1[x1] | b2[x2] | b3[x3]).to_bytes(six.size, "little")
         )
         self.edge_count = e = mask.bit_count()
         # v has degree |E(G)| - |E(G - v)|
@@ -128,33 +129,31 @@ class _FlagFacts(_MaskFacts):
         self.residue = _residue_of_sequence(seq)
         self._less = less = {}  # (max-degree vertices, band) of G - v
         if not mask:
-            self.alpha, self.maxine_sizes, self.mdi_mask = 8, 1 << 8, (1 << 8) - 1
+            self.alpha, self.maxine_sizes, self.mdi_mask = n, 1 << n, (1 << n) - 1
             return
-        alphas, sizes = _level(6)
-        (d0, d1, d2), pairs7 = _chunk_tables(7)[0], _pairs(7)
+        alphas, sizes = _level(n - 2)
+        (d0, d1, d2), pairs7 = deg, _pairs(n - 1)
         # alpha(G) = max(alpha(G - v0), alpha(G - y)) for the edge v0-y, v0
         # the first max-degree vertex and y its first neighbour
         v0 = tops[0]
-        star = mask & _stars(8)[v0][255]
-        p, q = _pairs(8)[(star & -star).bit_length() - 1]
+        star = mask & _stars(n)[v0][-1]
+        p, q = _pairs(n)[(star & -star).bit_length() - 1]
         y = p + q - v0
         # alpha of each G - v, v of maximum degree, through an edge of
         # G - v; the Maxine sizes, the union over those v of the sizes of
         # G - v - x over the max-degree vertices x of G - v
-        less_alphas = []
-        got = 0
+        less_alphas, got = [], 0
         for v in tops:
             m = sevens[v]
             if not m:
-                less_alphas.append(7)
-                got |= 1 << 7
+                less_alphas.append(n - 1)
+                got |= 1 << (n - 1)
                 continue
             index = _SIX_INDEX[v]
             p, q = pairs7[(m & -m).bit_length() - 1]
             ap, aq = alphas[sixes[index[p]]], alphas[sixes[index[q]]]
             less_alphas.append(ap if ap > aq else aq)
-            cls = _seven_class(d0[m & 127] + d1[m >> 7 & 127] + d2[m >> 14])
-            less[v] = cls
+            less[v] = cls = less_class(d0[m & 127] + d1[m >> 7 & 127] + d2[m >> 14])
             for x in cls[0]:
                 got |= sizes[sixes[index[x]]]
         alpha = max(less_alphas)
@@ -173,49 +172,50 @@ class _FlagFacts(_MaskFacts):
     def hh_size(self) -> int | None:
         """The guided run's first deletion v, and its second, w in G - v;
         the run then ends as that of G - v - w does."""
+        n = self.n
         if not self.mask:
-            return 8
-        v = _dominating(8, self.mask, self._tops, self._band)
+            return n
+        v = _dominating(n, self.mask, self._tops, self._band)
         if v is None:
             return None
         if not self.deletions[v]:
-            return 7
-        w = _dominating(7, self.deletions[v], *self._less[v])
-        code = 0 if w is None else _hh_level(6)[self.sixes[_SIX_INDEX[v][w]]]
+            return n - 1
+        w = _dominating(n - 1, self.deletions[v], *self._less[v])
+        code = 0 if w is None else _hh_level(n - 2)[self.sixes[_SIX_INDEX[v][w]]]
         return code - 1 if code else None
 
     @_lazy
     def flags(self) -> int:
-        """Each 7-vertex induced subgraph gives its relabeling bit, and
-        each 6-vertex one its _flag_level(6) entry.  An 8-vertex member
-        can only be a relabeling of G, so it is searched for, and G built,
-        only when its edge count is G's."""
-        seven, six = _relabeled_flags(7), _flag_level(6)
+        """Each (n - 1)-vertex induced subgraph gives its relabeling bit,
+        and each (n - 2)-vertex one its _flag_level(n - 2) entry.  A
+        pattern with n vertices can only be a relabeling of G, so it is
+        searched for, and G built, only when its edge count is G's."""
+        if not self.mask:
+            return 0
+        n = self.n
+        seven, six = _relabeled_flags(n - 1), _flag_level(n - 2)
         out = 0
         for m in self.deletions:
             out |= seven.get(m, 0)
         for m in self.sixes:
             out |= six[m]
-        if out & _C4_FLAG:  # every catalog member holds an induced C4
-            out = _searched_flags(self, _spanning_patterns(8), out)
+        # every catalog member holds an induced C4, but C4 and P5 are the
+        # patterns that span 4- and 5-vertex graphs, which the bit cannot gate
+        if out & _C4_FLAG or n < 6:
+            out = _searched_flags(self, _spanning_patterns(n), out)
         return out
 
 
 def _corpus_facts(n: int, mask: int) -> GraphFacts:
-    """The facts of a corpus record's edge mask, by the path its vertex
-    count takes: the labeled tables up to 6 vertices, _FlagFacts at 8 and
-    the per-graph searches of GraphFacts otherwise, which at 7 beat
-    building the 7-vertex tables even on a corpus of all 1,044 classes."""
-    if n < ENUM_CAP - 1:
-        return next(_layer_facts(n, mask, mask + 1))
-    return _FlagFacts(n, mask) if n == ENUM_CAP else GraphFacts(Graph.from_mask(n, mask))
+    """The facts of a corpus record's edge mask: read from the tables two
+    vertices smaller up to 8 vertices, searched per graph beyond."""
+    return _FlagFacts(n, mask) if n <= ENUM_CAP else GraphFacts(Graph.from_mask(n, mask))
 
 
 class _LayerFacts(_MaskFacts):
     """Facts of a labeled graph, seeded from the tables."""
 
     def __init__(self, n, mask, alpha, sizes, mdi, degclass, high_subs, packed):
-        # sets _MaskFacts' fields itself: one call less per labeled graph
         self.n = n
         self.mask = mask
         self.alpha = alpha

@@ -59,9 +59,7 @@ def flag_bits(f) -> tuple[bool, ...]:
 
 def corpus_facts_class(n: int) -> type:
     """The facts class a corpus record with n vertices is scanned with."""
-    if n < 7:
-        return tablefacts._LayerFacts
-    return tablefacts._FlagFacts if n == 8 else verify.GraphFacts
+    return tablefacts._FlagFacts if n <= 8 else verify.GraphFacts
 
 
 class TestCheckIds:
@@ -596,6 +594,12 @@ class TestCorpusFlags:
         reports = run_suite(CorpusSource(CORPUS8), THEOREM_CHECKS, shards=1)
         assert all(r.scanned == 12346 and r.counterexamples == () for r in reports)
         assert calls == []
+        small = [C4, path(4), P5, cycle(5), cycle(7), path(7), complete(7)]
+        small += [gen_f_member("A", 4).graph, gen_f_member("B", 4).graph]
+        corpus = tmp_path / "small.g6"
+        corpus.write_text("".join(to_graph6(g) + "\n" for g in small))
+        run_suite(CorpusSource(str(corpus)), THEOREM_CHECKS, shards=1)
+        assert calls == []
         corpus = tmp_path / "nine.g6"
         corpus.write_text(to_graph6(cycle(8)) + "\n" + to_graph6(cycle(9)) + "\n")
         run_suite(CorpusSource(str(corpus)), THEOREM_CHECKS, shards=1)
@@ -603,19 +607,22 @@ class TestCorpusFlags:
 
     def test_induced_subgraphs_unpacked(self):
         # the packed chunk lookups give G - v at v and G - v - x at the
-        # position of the pair (x, v) in pair_order(8)
+        # position of the pair (x, v) in pair_order(n)
         def without(g, gone):
             at = {v: i for i, v in enumerate(v for v in range(g.n) if v not in gone)}
             edges = [(at[a], at[b]) for a, b in g.edges() if a in at and b in at]
             return Graph(len(at), edges).mask()
 
-        masks = random.Random(2029).sample(range(1 << 28), 300) + [0, (1 << 28) - 1]
-        for mask in masks:
-            g = Graph.from_mask(8, mask)
-            f = tablefacts._FlagFacts(8, mask)
-            assert list(f.deletions) == [without(g, {v}) for v in range(8)], mask
-            want = [without(g, {x, v}) for v in range(8) for x in range(v)]
-            assert list(f.sixes) == want, mask
+        rng = random.Random(2029)
+        for n in range(ENUM_CAP + 1):
+            total = 1 << len(_pairs(n))
+            masks = rng.sample(range(total), min(total, 300)) + [0, total - 1]
+            for mask in masks:
+                g = Graph.from_mask(n, mask)
+                f = tablefacts._FlagFacts(n, mask)
+                assert list(f.deletions) == [without(g, {v}) for v in range(n)], (n, mask)
+                want = [without(g, {x, v}) for v in range(n) for x in range(v)]
+                assert list(f.sixes) == want, (n, mask)
 
     def test_relabeled_corpus8_records(self):
         rng = random.Random(10)
@@ -630,10 +637,9 @@ class TestCorpusFlags:
                 assert self.assert_matches_search(h) == base, (record, perm)
 
     def test_facts_class_follows_vertex_count(self):
-        # the labeled tables up to 6 vertices, two deletions into the
-        # 6-vertex tables at 8, the per-graph searches at 7 and beyond 8
-        want = {n: tablefacts._LayerFacts for n in range(7)}
-        want.update({7: verify.GraphFacts, 8: tablefacts._FlagFacts})
+        # two deletions into the tables two vertices smaller up to 8
+        # vertices, the per-graph searches beyond
+        want = {n: tablefacts._FlagFacts for n in range(9)}
         want.update({9: verify.GraphFacts, 12: verify.GraphFacts})
         for n, cls in want.items():
             assert corpus_facts_class(n) is cls, n
@@ -643,7 +649,8 @@ class TestCorpusFlags:
                 assert f.graph == g, n  # counterexamples echo the record
 
     def test_labeled_path_matches_per_graph(self):
-        # every fact the labeled scan is held to, the guided run included
+        # every fact the labeled scan is held to, the guided run included,
+        # on every corpus record with at most 6 vertices
         for n in range(7):
             for mask in range(1 << (n * (n - 1) // 2)):
                 f = tablefacts._corpus_facts(n, mask)
@@ -691,6 +698,49 @@ class TestCorpusFlags:
         facts._flagged_patterns.cache_clear()
         assert check_one(g, check) is Verdict.NOT_APPLICABLE
         assert searched == want
+
+    def test_corpus_scan_builds_no_seven_vertex_degree_classes(self, monkeypatch, tmp_path):
+        # 7- and 8-vertex records read degree vectors one and two vertices
+        # down through small caches, not through the 7**7 and 8**8 slot
+        # arrays of _degree_classes(7) and (8)
+        built = []
+        init = levels._DegreeClasses.__init__
+
+        def recording(self, n):
+            built.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(levels._DegreeClasses, "__init__", recording)
+        levels._degree_classes.cache_clear()
+        rng = random.Random(78)
+        masks = [(7, m) for m in rng.sample(range(1 << 21), 200)]
+        masks += [(8, m) for m in rng.sample(range(1 << 28), 200)]
+        corpus = tmp_path / "seven_eight.g6"
+        corpus.write_text("".join(to_graph6(Graph.from_mask(n, m)) + "\n" for n, m in masks))
+        reports = run_suite(CorpusSource(str(corpus)), ALL_CHECKS, shards=1)
+        assert all(r.scanned == 400 for r in reports)
+        assert all(k < 7 for k in built), built
+
+    def test_mixed_corpus_scan_matches_check_one(self, tmp_path):
+        # a corpus across both route boundaries, 6|7 and 8|9: the scan's
+        # applicable counts and counterexamples are those of check_one
+        # on each record
+        rng = random.Random(600)
+        graphs = []
+        for _ in range(600):
+            n, p = rng.randint(0, 9), rng.random()
+            edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
+            graphs.append(Graph(n, edges))
+        assert {g.n for g in graphs} == set(range(10))
+        corpus = tmp_path / "mixed.g6"
+        corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs))
+        reports = run_suite(CorpusSource(str(corpus)), ALL_CHECKS, shards=1)
+        for check, rep in zip(ALL_CHECKS, reports):
+            verdicts = [(check_one(g, check), to_graph6(g)) for g in graphs]
+            applicable = sum(v is not Verdict.NOT_APPLICABLE for v, _ in verdicts)
+            fails = sorted(text for v, text in verdicts if v is Verdict.FAIL)
+            assert (rep.applicable, list(rep.counterexamples)) == (applicable, fails), check
+        assert any(rep.counterexamples for rep in reports)
 
     def test_records_over_eight_vertices_search(self):
         assert type(tablefacts._corpus_facts(9, 0)) is verify.GraphFacts
